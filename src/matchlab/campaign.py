@@ -82,6 +82,26 @@ class AuditRecord:
         return d
 
 
+class _Tally:
+    """Per-condition check counts and the violations an audit finds."""
+
+    def __init__(self):
+        self.checked = {name: 0 for name in _CONDITIONS}
+        self.violations = []
+
+    def record(self, name, count, threshold, bad, **witness):
+        self.checked[name] += 1
+        if bad:
+            self.violations.append(
+                {
+                    "condition": name,
+                    "count": count,
+                    "threshold": threshold,
+                    **witness,
+                }
+            )
+
+
 def _count(flags):
     return int(np.count_nonzero(flags))
 
@@ -106,20 +126,8 @@ def lemma_audit(fam, s, t, p, budget, seed):
         else np.zeros((0, max(k, 1)), dtype=np.int64)
     )
 
-    checked = {name: 0 for name in _CONDITIONS}
-    violations = []
-
-    def record(name, count, threshold, bad, **witness):
-        checked[name] += 1
-        if bad:
-            violations.append(
-                {
-                    "condition": name,
-                    "count": count,
-                    "threshold": threshold,
-                    **witness,
-                }
-            )
+    tally = _Tally()
+    record = tally.record
 
     for _ in range(budget):
         if n >= s:
@@ -181,8 +189,8 @@ def lemma_audit(fam, s, t, p, budget, seed):
         p=p,
         budget=budget,
         seed=seed,
-        checked=checked,
-        violations=tuple(violations),
+        checked=tally.checked,
+        violations=tuple(tally.violations),
     )
 
 
@@ -198,20 +206,8 @@ def complete_audit(n, k, s, t):
     if s < 1 or t < 1:
         raise RangeError(f"need s >= 1 and t >= 1, got s={s}, t={t}")
     deg = comb(n - 1, k - 1)
-    checked = {name: 0 for name in _CONDITIONS}
-    violations = []
-
-    def record(name, count, threshold, bad, **witness):
-        checked[name] += 1
-        if bad:
-            violations.append(
-                {
-                    "condition": name,
-                    "count": count,
-                    "threshold": threshold,
-                    **witness,
-                }
-            )
+    tally = _Tally()
+    record = tally.record
 
     for q in range(1, s + 1):
         if s <= n:
@@ -250,8 +246,8 @@ def complete_audit(n, k, s, t):
         p=1.0,
         budget=None,
         seed=None,
-        checked=checked,
-        violations=tuple(violations),
+        checked=tally.checked,
+        violations=tuple(tally.violations),
     )
 
 

@@ -25,7 +25,7 @@ from .errors import (
     ScaleError,
     SizeError,
 )
-from .families import Family, matching_number
+from .families import Family, Matching, matching_number
 
 _RESILIENCE_SUBSET_CAP = 1_000_000
 
@@ -104,32 +104,8 @@ def _max_matching(fam):
 
 
 def is_t_resilient(fam, t):
-    """True iff deleting any set of at most t vertices preserves nu.
-
-    Subsets that miss a cached maximum matching cannot change nu and are
-    skipped without a solver call.
-    """
-    if t < 0:
-        raise RangeError(f"t must be >= 0, got {t}")
-    if fam.k == 0:
-        return True
-    if t >= fam.k:
-        raise RangeError(f"t must be at most k-1 = {fam.k - 1}, got {t}")
-    nu, witness = matching_number(fam)
-    if nu == 0 or t == 0:
-        return True
-    if comb(fam.n, t) > _RESILIENCE_SUBSET_CAP:
-        raise ScaleError(
-            f"C({fam.n},{t}) candidate deletions exceeds the search cap"
-        )
-    support = witness.vertices()
-    for size in range(1, t + 1):
-        for t_set in itertools.combinations(range(1, fam.n + 1), size):
-            if not set(t_set) & set(support):
-                continue
-            if matching_number(fam.delete_vertices(t_set))[0] < nu:
-                return False
-    return True
+    """True iff deleting any set of at most t vertices preserves nu."""
+    return first_weak_set(fam, t) is None
 
 
 def first_weak_set(fam, t):

@@ -11,7 +11,10 @@ each level m <= s we minimize deletions subject to "every (m+1)-matching is
 hit" plus "for every m-set T, at least one edge avoiding T survives", and
 take the best level.  Any family satisfying the level-m constraints has
 tau > m >= nu, hence is non-trivial, and conversely every non-trivial family
-with nu <= s is feasible at level nu(F).
+with nu <= s is feasible at level nu(F).  A trivial family with nu <= s is
+covered by nu <= s vertices, so it lies in the star of some s-set; the
+verdict's optimum is therefore the larger of the best star and the
+non-trivial maximum, with no third solve.
 """
 
 from __future__ import annotations
@@ -380,8 +383,12 @@ def _keep_sets(host, m):
     return out
 
 
-def _max_nontrivial(host, s, matching_cap):
+def _max_nontrivial(host, s, matching_cap, force_generic=False):
     """Exact largest non-trivial subfamily with nu <= s, or (None, None)."""
+    if host.k == 2 and s == 1 and not force_generic:
+        # a non-trivial intersecting graph is a triangle
+        tri = _k2_first_triangle(host)
+        return (None, None) if tri is None else (3, tri)
     best = None
     witness = None
     for m in range(1, s + 1):
@@ -406,52 +413,25 @@ def _max_nontrivial(host, s, matching_cap):
     return best, witness
 
 
-def _k2_s1_verdict(host):
-    mt = max_trivial(host, 1, exact=True)
-    tri = _k2_first_triangle(host)
-    if tri is not None and 3 > mt.size:
-        opt_size, opt_fam = 3, tri
-        opt_nu, opt_tau = 1, 2
-    elif host.edges:
-        opt_size, opt_fam = mt.size, host.filter(meet=(mt.vertices[0],))
-        opt_nu, opt_tau = 1, 1
-    else:
-        opt_size, opt_fam = 0, host
-        opt_nu, opt_tau = 0, 0
-    nt = 3 if tri is not None else None
-    return Verdict(
-        host_size=len(host.edges),
-        s=1,
-        opt_size=opt_size,
-        opt_family=opt_fam,
-        opt_nu=opt_nu,
-        opt_tau=opt_tau,
-        max_trivial_size=mt.size,
-        best_trivial_set=mt.vertices,
-        max_nontrivial_size=nt,
-        nontrivial_witness=tri,
-        all_optima_trivial=nt is None or nt < opt_size,
-        conclusion_holds=nt is None or nt < mt.size,
-    )
-
-
 def extremal_verdict(host, s, matching_cap=MATCHING_CAP, force_generic=False):
     """Compare the best trivial and non-trivial subfamilies with nu <= s.
 
-    conclusion_holds means no non-trivial subfamily reaches the size of the
-    best edge set meeting a single s-set of vertices.
+    The optimum is the larger of the two, with ties going to the star of
+    the best s-set.  conclusion_holds means no non-trivial subfamily
+    reaches the size of the best edge set meeting a single s-set of
+    vertices.
     """
     if s < 1:
         raise RangeError(f"s must be >= 1, got {s}")
-    if host.k == 2 and s == 1 and not force_generic:
-        return _k2_s1_verdict(host)
     mt = max_trivial(host, s, exact=True)
-    opt_size, opt_fam = max_family_nu_le(
-        host, s, matching_cap, force_generic=force_generic
-    )
+    nt, witness = _max_nontrivial(host, s, matching_cap, force_generic)
+    if nt is not None and nt > mt.size:
+        opt_fam = witness
+    else:
+        opt_fam = host.filter(meet=mt.vertices)
+    opt_size = len(opt_fam.edges)
     opt_nu, _ = matching_number(opt_fam)
     opt_tau = covering_number(opt_fam)[0] if opt_fam.edges else 0
-    nt, witness = _max_nontrivial(host, s, matching_cap)
     return Verdict(
         host_size=len(host.edges),
         s=s,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from matchlab.covers import (
     CoverBasis,
     Part,
+    PartitionCertificate,
     branching_cover,
     certify_decomposition,
     fan_cover,
@@ -22,6 +24,7 @@ from matchlab.errors import (
 )
 from matchlab.families import (
     Family,
+    Matching,
     complete_family,
     generated_contains,
     matching_number,
@@ -341,6 +344,10 @@ class TestCertifyDecomposition:
         assert part.second == (2, 4, 6)
         assert cert.q_union == (1, 2, 3, 4, 5, 6)
         assert cert.star_count == 0
+
+    def test_type_hints_resolve(self):
+        hints = typing.get_type_hints(PartitionCertificate)
+        assert hints["matching"] is Matching
 
     def test_empty_part(self):
         cert = certify_decomposition(complete_family(4, 3))

@@ -2,7 +2,7 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matchlab.errors import ExplosionError, RangeError
 from matchlab.families import (
@@ -225,3 +225,21 @@ class TestVerdict:
         assert nt is None or nt <= v.host_size
         assert v.conclusion_holds == (nt is None or nt < v.max_trivial_size)
         assert v.all_optima_trivial == (nt is None or nt < v.opt_size)
+
+    @given(
+        small_family(max_n=6, max_edges=8),
+        st.integers(min_value=1, max_value=2),
+        st.booleans(),
+    )
+    # K4 at s=1: the best star and the triangle tie at 3 edges
+    @example(complete_family(4, 2), 1, False)
+    @example(complete_family(4, 2), 1, True)
+    @settings(max_examples=60, deadline=None)
+    def test_opt_is_best_star_or_nontrivial(self, fam, s, force_generic):
+        v = extremal_verdict(fam, s, force_generic=force_generic)
+        assert v.opt_size == max_family_nu_le(fam, s)[0]
+        nt = v.max_nontrivial_size
+        if nt is not None and nt > v.max_trivial_size:
+            assert v.opt_family == v.nontrivial_witness
+        else:
+            assert v.opt_family == fam.filter(meet=v.best_trivial_set)
