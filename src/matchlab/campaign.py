@@ -293,6 +293,10 @@ class Cell:
     p: float
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_pos_ints(name, values):
     if (
         not isinstance(values, (list, tuple))
@@ -365,6 +369,14 @@ class CampaignConfig:
             object.__setattr__(self, "p", tuple(float(v) for v in ps))
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.threads is not None and (
+            not _is_int(self.threads) or self.threads < 1
+        ):
+            raise ConfigError(
+                f"threads must be null or an int >= 1, got {self.threads!r}"
+            )
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an int, got {self.seed!r}")
         if self.floor is not None and not 0 <= self.floor <= 1:
             raise ConfigError(f"floor must be in [0, 1], got {self.floor}")
         if self.budget < 1:
@@ -507,14 +519,23 @@ _SUMMARY_FIELDS = (
 )
 
 
+def _env_threads():
+    raw = os.environ.get("MATCHLAB_THREADS", "4")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"MATCHLAB_THREADS must be an integer, got {raw!r}"
+        ) from None
+
+
 def run_campaign(cfg):
     """Run every cell x trial, write <out>.jsonl and <out>.csv, and
     return the summary. summary["ok"] is False iff some cell's success
     fraction fell below the configured floor."""
     cells = build_cells(cfg)
     tasks = [(cell, t) for cell in cells for t in range(cfg.trials)]
-    env_cap = int(os.environ.get("MATCHLAB_THREADS", "4"))
-    workers = min(cfg.threads or env_cap, len(tasks))
+    workers = min(cfg.threads or _env_threads(), len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(

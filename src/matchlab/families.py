@@ -62,7 +62,7 @@ def _edge_mask(edge):
 class Family:
     """Immutable k-uniform family of subsets of [n]."""
 
-    __slots__ = ("n", "k", "edges", "masks", "_np_masks", "_mask_index")
+    __slots__ = ("n", "k", "edges", "masks", "_np_masks", "_mask_index", "_nu")
 
     def __init__(self, n, k, edges):
         if not (0 <= n <= MAX_VERTICES):
@@ -87,6 +87,7 @@ class Family:
         object.__setattr__(self, "masks", tuple(_edge_mask(e) for e in self.edges))
         object.__setattr__(self, "_np_masks", None)
         object.__setattr__(self, "_mask_index", None)
+        object.__setattr__(self, "_nu", None)
 
     @classmethod
     def _from_canonical(cls, n, k, edges, masks=None):
@@ -100,6 +101,7 @@ class Family:
         object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "_np_masks", None)
         object.__setattr__(self, "_mask_index", None)
+        object.__setattr__(self, "_nu", None)
         return self
 
     def __setattr__(self, name, value):
@@ -278,9 +280,20 @@ def _greedy_matching(cands, masks):
 def matching_number(fam):
     """Exact maximum matching size with a witness.
 
-    Branch and bound: branch on the lexicographically smallest vertex still
-    covered by a candidate edge (take each edge through it, or discard the
-    vertex), seeded with a greedy lex matching.  Upper bounds: remaining
+    The answer is solved once per family and cached on it (families are
+    immutable), so `is_trivial` and `covering_number` reuse it.
+    """
+    if fam._nu is None:
+        object.__setattr__(fam, "_nu", _solve_matching(fam))
+    return fam._nu
+
+
+def _solve_matching(fam):
+    """Branch and bound for `matching_number`.
+
+    Branch on the lexicographically smallest vertex still covered by a
+    candidate edge (take each edge through it, or discard the vertex),
+    seeded with a greedy lex matching.  Upper bounds: remaining
     vertex count over k, and a greedy cover of the candidates.
     """
     edges, masks = fam.edges, fam.masks
@@ -369,7 +382,11 @@ def _matching_small_cap(fam, cap, best_size, best_idxs):
     avail_size = n - 2 * k
 
     for i in range(m):
-        di = _filter_disjoint(range(i + 1, m), masks[i], masks, np_masks)
+        if np_masks is not None and m - i - 1 >= _NP_FILTER_MIN:
+            rest = np_masks[i + 1 :] & np.uint64(masks[i])
+            di = np.flatnonzero(rest == 0) + (i + 1)
+        else:
+            di = [j for j in range(i + 1, m) if masks[j] & masks[i] == 0]
         if len(di) and pair is None:
             pair = [i, int(di[0])]
             if cap == 2:

@@ -200,6 +200,27 @@ class TestCampaignConfig:
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict(self.base(**over))
 
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"threads": "2"},
+            {"threads": 0},
+            {"threads": 1.5},
+            {"threads": True},
+            {"seed": "7"},
+            {"seed": 1.5},
+            {"seed": None},
+        ],
+    )
+    def test_rejects_bad_threads_and_seed(self, over):
+        with pytest.raises(ConfigError):
+            CampaignConfig.from_dict(self.base(**over))
+
+    def test_accepts_threads_and_seed(self):
+        cfg = CampaignConfig.from_dict(self.base(threads=2, seed=-3))
+        assert (cfg.threads, cfg.seed) == (2, -3)
+        assert CampaignConfig.from_dict(self.base(threads=None)).threads is None
+
     def test_missing_keys(self):
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict({"kind": "verdict"})
@@ -337,6 +358,11 @@ class TestRunCampaign:
             self.verdict_cfg(tmp_path / "hi", threads=4, trials=4)
         )
         assert strip_timing(lo["jsonl"]) == strip_timing(hi["jsonl"])
+
+    def test_non_integer_thread_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MATCHLAB_THREADS", "two")
+        with pytest.raises(ConfigError):
+            run_campaign(self.verdict_cfg(tmp_path / "env"))
 
     def test_trial_stream_derivation(self, tmp_path):
         summary = run_campaign(

@@ -225,6 +225,26 @@ class TestCampaignVerb:
         assert code == 2
         assert "config error" in err
 
+    def test_bad_threads_exit(self, tmp_path, capsys):
+        cfg = self.write_cfg(
+            tmp_path,
+            {
+                "kind": "verdict",
+                "n": [8],
+                "k": [2],
+                "s": [1],
+                "p": [1.0],
+                "trials": 1,
+                "seed": 1,
+                "threads": "2",
+                "out": str(tmp_path / "run"),
+            },
+        )
+        code, _, err = run(capsys, "campaign", "--config", cfg)
+        assert code == 2
+        assert "config error" in err
+        assert not (tmp_path / "run.jsonl").exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

@@ -5,6 +5,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchlab import families
 from matchlab.errors import OverlapError, SizeError
 from matchlab.families import (
     Cover,
@@ -20,6 +21,7 @@ from matchlab.families import (
     read_edge_file,
     write_edge_file,
 )
+from matchlab.oracle import extremal_verdict
 
 from oracles import (
     all_families,
@@ -227,6 +229,74 @@ class TestSolvers:
             check_matching(f, m)
             if edges:
                 check_cover(f, c)
+
+
+def _dense_in_eleven():
+    """The 5-subsets of [15] with at least 4 vertices in [11]: 1782 edges.
+
+    Three disjoint edges would need 12 vertices of [11], so nu = 2; an edge
+    misses a cover only with 4 vertices left in [11], so tau = 8.
+    """
+    return [
+        e
+        for e in itertools.combinations(range(1, 16), 5)
+        if sum(v <= 11 for v in e) >= 4
+    ]
+
+
+class TestPairScan:
+    # n = 3k with m >= 256 and n <= 64: the vectorized pair scan decides nu
+
+    def test_no_third_edge(self):
+        f = Family(15, 5, _dense_in_eleven())
+        assert len(f) == 1782
+        nu, m = matching_number(f)
+        assert nu == 2
+        check_matching(f, m)
+        assert covering_number(f)[0] == 8
+        assert not is_trivial(f)
+
+    def test_finds_third_edge_past_greedy(self):
+        f = Family(15, 5, _dense_in_eleven() + [(1, 12, 13, 14, 15)])
+        assert len(families._greedy_matching(range(len(f)), f.masks)) == 2
+        nu, m = matching_number(f)
+        assert nu == 3
+        check_matching(f, m)
+
+
+class TestMatchingCache:
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Families handed to the nu branch and bound, one per solve."""
+        seen = []
+        solve = families._solve_matching
+
+        def counting(fam):
+            seen.append(fam)
+            return solve(fam)
+
+        monkeypatch.setattr(families, "_solve_matching", counting)
+        return seen
+
+    def test_one_solve_per_family(self, solved):
+        f = Family(6, 3, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)])
+        nu = matching_number(f)
+        assert not is_trivial(f)
+        assert covering_number(f)[0] == 2
+        assert matching_number(f) is nu
+        assert solved == [f]
+        assert nu == families._solve_matching(Family(f.n, f.k, f.edges))
+
+    def test_verdict_solves_opt_family_once(self, solved):
+        host = complete_family(7, 3)
+        v = extremal_verdict(host, 1)
+        assert v.opt_family.edges
+        assert sum(fam is v.opt_family for fam in solved) == 1
+        fresh = Family(host.n, host.k, v.opt_family.edges)
+        assert (v.opt_nu, matching_number(v.opt_family)[1]) == (
+            families._solve_matching(fresh)
+        )
+        assert v.opt_tau == covering_number(fresh)[0]
 
 
 class TestSolverProperties:
