@@ -102,13 +102,29 @@ class _Tally:
             )
 
 
-def _count(flags):
-    return int(np.count_nonzero(flags))
+def _incidence(fam):
+    """through[v]: indices of the edges containing v, for v in 0..n.
+
+    One argsort of the flattened (m, k) edge array, split at the
+    first position of each vertex; O(km).  Index 0 is always empty, and
+    so is every entry when m = 0.  Needs k >= 1.
+    """
+    n, k, m = fam.n, fam.k, len(fam)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(fam.edges), dtype=np.intp, count=m * k
+    )
+    order = np.argsort(flat)
+    bounds = np.searchsorted(flat[order], np.arange(1, n + 1))
+    return np.split(order // k, bounds)
 
 
 def lemma_audit(fam, s, t, p, budget, seed):
     """Randomized audit: draw `budget` instances of each condition
     family on an explicit sample and report every violation.
+
+    Every count is read off `inside(S)`, the number of vertices of the
+    drawn set S in each edge: a bincount over the edges through S, so a
+    check costs about |S| * km / n index entries plus one length-m pass.
     """
     if budget < 1:
         raise RangeError(f"budget must be >= 1, got {budget}")
@@ -116,15 +132,18 @@ def lemma_audit(fam, s, t, p, budget, seed):
         raise RangeError(f"need s >= 1 and t >= 1, got s={s}, t={t}")
     if not 0 <= p <= 1:
         raise RangeError(f"p must be in [0, 1], got {p}")
-    n, k = fam.n, fam.k
+    if fam.k < 1:
+        # the thresholds divide by k and C(n-1, k-1) needs k >= 1
+        raise RangeError(f"need a k-uniform family with k >= 1, got k={fam.k}")
+    n, k, m = fam.n, fam.k, len(fam)
     deg = comb(n - 1, k - 1)
     rng = random.Random(seed)
     verts = range(1, n + 1)
-    arr = (
-        np.array(fam.edges, dtype=np.int64)
-        if fam.edges
-        else np.zeros((0, max(k, 1)), dtype=np.int64)
-    )
+    through = _incidence(fam)
+
+    def inside(vs):
+        hits = np.concatenate([through[v] for v in vs])
+        return np.bincount(hits, minlength=m)
 
     tally = _Tally()
     record = tally.record
@@ -134,9 +153,10 @@ def lemma_audit(fam, s, t, p, budget, seed):
             q = rng.randint(1, s)
             drawn = rng.sample(verts, s)
             q_set, r_set = sorted(drawn[:q]), sorted(drawn[q:])
-            meets = np.isin(arr, q_set).any(axis=1)
-            avoids = ~np.isin(arr, r_set).any(axis=1)
-            count = _count(meets & avoids)
+            flags = inside(q_set) > 0
+            if r_set:
+                flags &= inside(r_set) == 0
+            count = int(np.count_nonzero(flags))
             thr = 0.5 * p * q * deg
             record(
                 "avoid_meet_floor", count, thr, count <= thr,
@@ -148,8 +168,7 @@ def lemma_audit(fam, s, t, p, budget, seed):
         if hi >= 2:
             size = rng.randint(2, hi)
             q_set = sorted(rng.sample(verts, size))
-            inside = np.isin(arr, q_set).sum(axis=1)
-            count = _count(inside >= 2)
+            count = int(np.count_nonzero(inside(q_set) >= 2))
             thr = 0.25 * p * q * deg
             record(
                 "pair_cluster_cap", count, thr, count >= thr, q=q, Q=q_set
@@ -160,24 +179,20 @@ def lemma_audit(fam, s, t, p, budget, seed):
             x = rng.randint(1, n)
             pool = [v for v in verts if v != x]
             q_set = sorted(rng.sample(pool, k * q))
-            through = (arr == x).any(axis=1)
-            meets = np.isin(arr, q_set).any(axis=1)
-            count = _count(through & meets)
+            count = int(np.count_nonzero(inside(q_set)[through[x]]))
             thr = 0.25 * p * deg
             record("fan_cap", count, thr, count >= thr, q=q, x=x, Q=q_set)
 
         if t >= 2 and n >= 2:
             r = rng.randint(2, min(t, n))
             r_set = sorted(rng.sample(verts, r))
-            inside = np.isin(arr, r_set).sum(axis=1)
-            count = _count(inside == r)
+            count = int(np.count_nonzero(inside(r_set) == r))
             thr = p * deg / (4 * r * (k * s) ** (r - 1))
             record("link_cap", count, thr, count > thr, R=r_set)
 
         if t + 1 <= n:
             t_set = sorted(rng.sample(verts, t + 1))
-            inside = np.isin(arr, t_set).sum(axis=1)
-            count = _count(inside == t + 1)
+            count = int(np.count_nonzero(inside(t_set) == t + 1))
             thr = p * deg / (4 * k ** (t + 1) * s**t)
             record("deep_link_cap", count, thr, count > thr, T=t_set)
 

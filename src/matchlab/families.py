@@ -107,6 +107,10 @@ class Family:
     def __setattr__(self, name, value):
         raise AttributeError("Family is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the trusted constructor; caches are not carried
+        return Family._from_canonical, (self.n, self.k, self.edges, self.masks)
+
     def __len__(self):
         return len(self.edges)
 
@@ -421,15 +425,15 @@ def _matching_small_cap(fam, cap, best_size, best_idxs):
     return best_size, best_idxs
 
 
-def _bounded_cover(fam, limit):
+def _bounded_cover(fam, limit, deg):
     """A cover of size <= limit, or None.  Depth-bounded DFS.
 
     Branches on the first uncovered edge; vertex order inside an edge is by
-    global degree (descending), ties to the smaller vertex.
+    global degree `deg` (descending, from `fam.degrees()`), ties to the
+    smaller vertex.
     """
     edges, masks = fam.edges, fam.masks
     m = len(edges)
-    deg = fam.degrees()
     np_masks = fam.np_masks()
     use_np = np_masks is not None and m >= _NP_FILTER_MIN
 
@@ -472,8 +476,9 @@ def covering_number(fam):
     nu, _ = matching_number(fam)
     if nu == 0:
         return 0, Cover(())
+    deg = fam.degrees()
     for d in range(nu, fam.k * nu + 1):
-        found = _bounded_cover(fam, d)
+        found = _bounded_cover(fam, d, deg)
         if found is not None:
             return d, Cover(tuple(sorted(found)))
     raise RuntimeError("cover search exceeded k * nu; solver bug")
@@ -484,7 +489,7 @@ def is_trivial(fam):
     nu, _ = matching_number(fam)
     if nu == 0:
         return True
-    return _bounded_cover(fam, nu) is not None
+    return _bounded_cover(fam, nu, fam.degrees()) is not None
 
 
 def write_edge_file(fam, path):

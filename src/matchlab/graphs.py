@@ -364,8 +364,8 @@ def max_nu_subgraph(g, s, force_oracle=False):
     if n <= _EXACT_N_CAP:
         return _enum_exact(g, s)
 
-    degs_map = g.degrees()
     if s == 1:
+        degs_map = g.degrees()
         u = max(range(1, n + 1), key=lambda v: (degs_map[v], -v))
         best = (degs_map[u], ((u,), ()))
         if g.edges and best[0] < 3:

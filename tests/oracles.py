@@ -5,6 +5,7 @@ solvers are tested against these, never the other way around.
 """
 
 import itertools
+import random
 from math import comb
 
 
@@ -124,3 +125,89 @@ def brute_resilient(n, edges, t):
             if brute_matching_number(kept) < base:
                 return False
     return True
+
+
+def brute_lemma_audit(fam, s, t, p, budget, seed):
+    """`campaign.lemma_audit` with every count taken over Python sets.
+
+    Draws from the RNG in the same order with the same arguments, so the
+    record must equal the real audit's exactly.
+    """
+    from matchlab.campaign import AuditRecord
+
+    n, k = fam.n, fam.k
+    deg = comb(n - 1, k - 1)
+    rng = random.Random(seed)
+    verts = range(1, n + 1)
+    edges = [frozenset(e) for e in fam.edges]
+    checked = dict.fromkeys(
+        (
+            "avoid_meet_floor",
+            "pair_cluster_cap",
+            "fan_cap",
+            "link_cap",
+            "deep_link_cap",
+        ),
+        0,
+    )
+    violations = []
+
+    def record(name, count, thr, bad, **witness):
+        checked[name] += 1
+        if bad:
+            violations.append(
+                {"condition": name, "count": count, "threshold": thr,
+                 **witness}
+            )
+
+    for _ in range(budget):
+        if n >= s:
+            q = rng.randint(1, s)
+            drawn = rng.sample(verts, s)
+            q_set, r_set = sorted(drawn[:q]), sorted(drawn[q:])
+            qs, rs = set(q_set), set(r_set)
+            count = sum(1 for e in edges if e & qs and not e & rs)
+            thr = 0.5 * p * q * deg
+            record("avoid_meet_floor", count, thr, count <= thr,
+                   q=q, R=r_set, Q=q_set)
+
+        q = rng.randint(1, s)
+        hi = min(3 * k * q - 1, n)
+        if hi >= 2:
+            size = rng.randint(2, hi)
+            q_set = sorted(rng.sample(verts, size))
+            qs = set(q_set)
+            count = sum(1 for e in edges if len(e & qs) >= 2)
+            thr = 0.25 * p * q * deg
+            record("pair_cluster_cap", count, thr, count >= thr,
+                   q=q, Q=q_set)
+
+        q = rng.randint(1, s)
+        if k * q + 1 <= n:
+            x = rng.randint(1, n)
+            pool = [v for v in verts if v != x]
+            q_set = sorted(rng.sample(pool, k * q))
+            qs = set(q_set)
+            count = sum(1 for e in edges if x in e and e & qs)
+            thr = 0.25 * p * deg
+            record("fan_cap", count, thr, count >= thr, q=q, x=x, Q=q_set)
+
+        if t >= 2 and n >= 2:
+            r = rng.randint(2, min(t, n))
+            r_set = sorted(rng.sample(verts, r))
+            rs = set(r_set)
+            count = sum(1 for e in edges if rs <= e)
+            thr = p * deg / (4 * r * (k * s) ** (r - 1))
+            record("link_cap", count, thr, count > thr, R=r_set)
+
+        if t + 1 <= n:
+            t_set = sorted(rng.sample(verts, t + 1))
+            ts = set(t_set)
+            count = sum(1 for e in edges if ts <= e)
+            thr = p * deg / (4 * k ** (t + 1) * s**t)
+            record("deep_link_cap", count, thr, count > thr, T=t_set)
+
+    return AuditRecord(
+        n=n, k=k, s=s, t=t, p=p, budget=budget, seed=seed,
+        checked=checked, violations=tuple(violations),
+    )

@@ -20,6 +20,8 @@ from matchlab.families import Family, complete_family
 from matchlab.graphs import f_bound
 from matchlab.sampling import SampleSpec, sample_family
 
+from oracles import brute_lemma_audit
+
 
 def strip_timing(path):
     rows = []
@@ -28,6 +30,22 @@ def strip_timing(path):
         blob.pop("wall_time_ms")
         rows.append(json.dumps(blob, sort_keys=True))
     return rows
+
+
+def _direct_count(fam, wit):
+    """Recount the edges behind one audit violation from its witness."""
+    name = wit["condition"]
+    edges = [set(e) for e in fam.edges]
+    if name == "avoid_meet_floor":
+        q_set, r_set = set(wit["Q"]), set(wit["R"])
+        return sum(1 for e in edges if e & q_set and not e & r_set)
+    if name == "pair_cluster_cap":
+        return sum(1 for e in edges if len(e & set(wit["Q"])) >= 2)
+    if name == "fan_cap":
+        return sum(1 for e in edges if wit["x"] in e and e & set(wit["Q"]))
+    if name == "link_cap":
+        return sum(1 for e in edges if set(wit["R"]) <= e)
+    return sum(1 for e in edges if set(wit["T"]) <= e)
 
 
 class TestLemmaAudit:
@@ -103,6 +121,47 @@ class TestLemmaAudit:
                 1 for e in fam.edges if len(q_set & set(e)) >= 2
             )
             assert direct == wit["count"]
+        # the floor fails only when the audit's p outgrows the host's
+        floors = lemma_audit(fam, 2, 2, 0.9, 25, seed=13)
+        seen = set()
+        for wit in rec.violations + floors.violations:
+            name = wit["condition"]
+            seen.add(name)
+            assert _direct_count(fam, wit) == wit["count"], name
+        assert seen == set(rec.checked)
+
+    @pytest.mark.parametrize(
+        "host, s, t, p",
+        [
+            (SampleSpec(n=60, k=3, p=0.3, seed=1), 2, 2, 0.3),
+            # past the 64-bit mask width
+            (SampleSpec(n=100, k=3, p=0.05, seed=2), 2, 3, 0.05),
+            (SampleSpec(n=30, k=1, p=0.5, seed=3), 2, 3, 0.5),
+            (Family(12, 3, []), 2, 2, 0.5),
+            (complete_family(10, 2), 8, 1, 1.0),
+            (complete_family(10, 2), 8, 2, 1.0),
+        ],
+        ids=["n60k3", "n100k3", "k1", "empty", "K10-t1", "K10-t2"],
+    )
+    def test_matches_set_oracle(self, host, s, t, p):
+        fam = host if isinstance(host, Family) else sample_family(host)
+        rec = lemma_audit(fam, s, t, p, 60, seed=5)
+        assert rec == brute_lemma_audit(fam, s, t, p, 60, seed=5)
+
+    def test_complete_graph_violates_every_condition(self):
+        # the K10 rows above: with s = 8 on [10] the drawn R leaves few
+        # edges to the floor; t = 1 reaches deep links, t = 2 links
+        host = complete_family(10, 2)
+        failed = set()
+        for t in (1, 2):
+            rec = lemma_audit(host, 8, t, 1.0, 60, seed=5)
+            failed |= {v["condition"] for v in rec.violations}
+        assert failed == set(rec.checked)
+
+    def test_zero_uniform_family_is_rejected(self):
+        # the thresholds divide by k
+        with pytest.raises(RangeError):
+            lemma_audit(Family(8, 0, [()]), 2, 2, 0.5, 10, seed=1)
 
     def test_to_dict_round_trip(self):
         rec = lemma_audit(complete_family(8, 2), 1, 1, 1.0, 10, seed=4)

@@ -1,5 +1,6 @@
 import itertools
 import os
+import pickle
 import tempfile
 
 import pytest
@@ -262,6 +263,33 @@ class TestPairScan:
         nu, m = matching_number(f)
         assert nu == 3
         check_matching(f, m)
+
+    def test_cover_reads_degrees_once(self, monkeypatch):
+        calls = []
+        degrees = Family.degrees
+
+        def counting(fam):
+            calls.append(fam)
+            return degrees(fam)
+
+        monkeypatch.setattr(Family, "degrees", counting)
+        f = Family(15, 5, _dense_in_eleven())
+        # iterative deepening runs the bounded search at depths 2..8
+        assert covering_number(f) == (8, Cover(tuple(range(1, 9))))
+        assert calls == [f]
+        assert not is_trivial(f)
+        assert calls == [f, f]
+
+
+class TestPickle:
+    def test_round_trip(self):
+        f = Family(4, 2, [(1, 2), (3, 4)])
+        matching_number(f)
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and g is not f
+        assert g.masks == f.masks
+        assert g._nu is None
+        assert matching_number(g) == matching_number(f)
 
 
 class TestMatchingCache:

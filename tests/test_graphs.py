@@ -230,6 +230,21 @@ class TestMaxNuSubgraph:
             g = random_graph(rng, n, 0.25)
             assert max_nu_subgraph(g, s).size == max_family_nu_le(g, s)[0]
 
+    def test_pair_level_skips_degree_map(self, monkeypatch):
+        calls = []
+        degrees = Family.degrees
+
+        def counting(fam):
+            calls.append(fam.n)
+            return degrees(fam)
+
+        monkeypatch.setattr(Family, "degrees", counting)
+        g = random_graph(random.Random(80), 20, 0.3)
+        assert max_nu_subgraph(g, 2).size == max_family_nu_le(g, 2)[0]
+        assert calls == []
+        max_nu_subgraph(g, 1)
+        assert calls == [20]
+
     def test_deterministic(self):
         rng = random.Random(79)
         g = random_graph(rng, 12, 0.4)
