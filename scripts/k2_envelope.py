@@ -10,8 +10,7 @@ f(n, s) is the closed-form edge maximum over graphs with nu <= s.
 
 import argparse
 
-from matchlab.graphs import f_bound, max_nu_subgraph
-from matchlab.sampling import SampleSpec, sample_family
+from matchlab.campaign import k2_envelope, k2_sweep
 
 
 def main():
@@ -24,19 +23,19 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    center = args.p * f_bound(args.n, args.s)
-    lo, hi = (1 - args.epsilon) * center, (1 + args.epsilon) * center
-    print(f"envelope [{lo:.1f}, {hi:.1f}] around p*f = {center:.1f}")
+    env = k2_envelope(args.n, args.s, args.p, args.epsilon)
+    print(
+        f"envelope [{env.lo:.1f}, {env.hi:.1f}] "
+        f"around p*f = {env.center:.1f}"
+    )
     print("trial,edges,x,ratio,ok")
     violations = 0
-    for trial in range(args.trials):
-        fam = sample_family(SampleSpec(
-            n=args.n, k=2, p=args.p, seed=args.seed, trial_index=trial,
-        ))
-        x_size = max_nu_subgraph(fam, args.s).size
-        ok = lo <= x_size <= hi
+    for trial, edges, x_size in k2_sweep(
+        args.n, args.s, args.p, args.seed, args.trials
+    ):
+        ok = env.holds(x_size)
         violations += not ok
-        print(f"{trial},{len(fam)},{x_size},{x_size / center:.4f},{ok}")
+        print(f"{trial},{edges},{x_size},{x_size / env.center:.4f},{ok}")
     print(f"# {violations} violations in {args.trials} trials")
     return 0 if violations == 0 else 3
 

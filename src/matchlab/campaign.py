@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,14 +106,12 @@ class _Tally:
 def _incidence(fam):
     """through[v]: indices of the edges containing v, for v in 0..n.
 
-    One argsort of the flattened (m, k) edge array, split at the
+    One argsort of the flattened (m, k) vertex array, split at the
     first position of each vertex; O(km).  Index 0 is always empty, and
     so is every entry when m = 0.  Needs k >= 1.
     """
-    n, k, m = fam.n, fam.k, len(fam)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(fam.edges), dtype=np.intp, count=m * k
-    )
+    n, k = fam.n, fam.k
+    flat = fam.vertex_array().ravel()
     order = np.argsort(flat)
     bounds = np.searchsorted(flat[order], np.arange(1, n + 1))
     return np.split(order // k, bounds)
@@ -135,6 +134,9 @@ def lemma_audit(fam, s, t, p, budget, seed):
     if fam.k < 1:
         # the thresholds divide by k and C(n-1, k-1) needs k >= 1
         raise RangeError(f"need a k-uniform family with k >= 1, got k={fam.k}")
+    if fam.n < 1:
+        # C(n-1, k-1) needs n >= 1
+        raise RangeError(f"need a family on n >= 1 vertices, got n={fam.n}")
     n, k, m = fam.n, fam.k, len(fam)
     deg = comb(n - 1, k - 1)
     rng = random.Random(seed)
@@ -442,6 +444,32 @@ def _auto_p(kind, n, k, s):
     return min(1.0, rep.primary_p_min)
 
 
+class Envelope(NamedTuple):
+    """The k=2 window (1 - eps) p f(n, s) <= X <= (1 + eps) p f(n, s) for
+    X, the size of the largest nu <= s subgraph of G(n, p)."""
+
+    center: float
+    lo: float
+    hi: float
+
+    def holds(self, x_size):
+        return self.lo <= x_size <= self.hi
+
+
+def k2_envelope(n, s, p, eps):
+    center = p * f_bound(n, s)
+    return Envelope(center, (1 - eps) * center, (1 + eps) * center)
+
+
+def k2_sweep(n, s, p, seed, trials):
+    """Yield (trial, edge count, X) for G(n, p) drawn at trial indices
+    0..trials-1 of `seed`."""
+    for trial in range(trials):
+        spec = SampleSpec(n=n, k=2, p=p, seed=seed, trial_index=trial)
+        g = sample_family(spec)
+        yield trial, len(g), max_nu_subgraph(g, s).size
+
+
 def build_cells(cfg):
     """Expand the grid in deterministic (n, k, s, t, eps, p) order."""
     t_axis = cfg.t if cfg.t else (None,)
@@ -469,10 +497,10 @@ def _evaluate(kind, cell, fam, cfg, audit_seed):
         return ok, float(nu), {"nu": nu, "trivial": trivial}
     if kind == "k2":
         x_size = max_nu_subgraph(fam, cell.s).size
-        center = cell.p * f_bound(cell.n, cell.s)
-        lo, hi = (1 - cell.eps) * center, (1 + cell.eps) * center
-        ok = lo <= x_size <= hi
-        return ok, float(x_size), {"x_size": x_size, "lo": lo, "hi": hi}
+        env = k2_envelope(cell.n, cell.s, cell.p, cell.eps)
+        return env.holds(x_size), float(x_size), {
+            "x_size": x_size, "lo": env.lo, "hi": env.hi,
+        }
     rec = lemma_audit(fam, cell.s, cell.t, cell.p, cfg.budget, audit_seed)
     return rec.ok, float(len(rec.violations)), {
         "checked": rec.checked,

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .bounds import regime_report, window_diagnostics
-from .campaign import CampaignConfig, run_campaign
+from .campaign import CampaignConfig, k2_envelope, k2_sweep, run_campaign
 from .covers import (
     branching_cover,
     certify_decomposition,
@@ -27,7 +27,6 @@ from .families import (
     read_edge_file,
     write_edge_file,
 )
-from .graphs import f_bound, max_nu_subgraph
 from .oracle import extremal_verdict, max_family_nu_le
 from .sampling import SampleSpec, sample_family
 
@@ -141,19 +140,15 @@ def _cmd_certify(args):
 
 
 def _cmd_k2(args):
-    center = args.p * f_bound(args.n, args.s)
-    lo, hi = (1 - args.epsilon) * center, (1 + args.epsilon) * center
+    env = k2_envelope(args.n, args.s, args.p, args.epsilon)
     print("trial,edges,x,lo,hi,ok")
     bad = 0
-    for trial in range(args.trials):
-        spec = SampleSpec(
-            n=args.n, k=2, p=args.p, seed=args.seed, trial_index=trial
-        )
-        fam = sample_family(spec)
-        x_size = max_nu_subgraph(fam, args.s).size
-        ok = lo <= x_size <= hi
+    for trial, edges, x_size in k2_sweep(
+        args.n, args.s, args.p, args.seed, args.trials
+    ):
+        ok = env.holds(x_size)
         bad += not ok
-        print(f"{trial},{len(fam)},{x_size},{lo:.6f},{hi:.6f},{ok}")
+        print(f"{trial},{edges},{x_size},{env.lo:.6f},{env.hi:.6f},{ok}")
     print(f"# violations: {bad}/{args.trials}", file=sys.stderr)
     return 0 if bad == 0 else 3
 

@@ -60,9 +60,24 @@ def _edge_mask(edge):
 
 
 class Family:
-    """Immutable k-uniform family of subsets of [n]."""
+    """Immutable k-uniform family of subsets of [n].
 
-    __slots__ = ("n", "k", "edges", "masks", "_np_masks", "_mask_index", "_nu")
+    The edges are held in whichever form the family was built from: the
+    canonical (m, k) int64 vertex array (`vertex_array()`, as the sampler
+    makes it) or the tuple of edge tuples (`edges`).  The other form and
+    the int masks (`masks`) are derived on first use and cached.
+    """
+
+    __slots__ = (
+        "n",
+        "k",
+        "_array",
+        "_edges",
+        "_masks",
+        "_np_masks",
+        "_mask_index",
+        "_nu",
+    )
 
     def __init__(self, n, k, edges):
         if not (0 <= n <= MAX_VERTICES):
@@ -81,38 +96,77 @@ class Family:
             if t and (t[0] < 1 or t[-1] > n):
                 raise ValueError(f"edge {t} leaves the vertex range [1, {n}]")
             canon.add(t)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
-        object.__setattr__(self, "masks", tuple(_edge_mask(e) for e in self.edges))
-        object.__setattr__(self, "_np_masks", None)
-        object.__setattr__(self, "_mask_index", None)
-        object.__setattr__(self, "_nu", None)
+        self._set(n, k, None, tuple(sorted(canon)), None)
 
     @classmethod
     def _from_canonical(cls, n, k, edges, masks=None):
         """Trusted constructor: edges already sorted, uniform, deduplicated."""
         self = cls.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", tuple(edges))
-        if masks is None:
-            masks = tuple(_edge_mask(e) for e in self.edges)
-        object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "_np_masks", None)
-        object.__setattr__(self, "_mask_index", None)
-        object.__setattr__(self, "_nu", None)
+        if masks is not None:
+            masks = tuple(masks)
+        self._set(n, k, None, tuple(edges), masks)
         return self
+
+    @classmethod
+    def _from_array(cls, n, k, array):
+        """Trusted constructor from the canonical (m, k) vertex array: rows
+        sorted, in lexicographic order, distinct."""
+        array = np.ascontiguousarray(array, dtype=np.int64)
+        array.flags.writeable = False
+        self = cls.__new__(cls)
+        self._set(n, k, array, None, None)
+        return self
+
+    def _set(self, n, k, array, edges, masks):
+        for name, value in (
+            ("n", n), ("k", k), ("_array", array), ("_edges", edges),
+            ("_masks", masks), ("_np_masks", None), ("_mask_index", None),
+            ("_nu", None),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Family is immutable")
 
     def __reduce__(self):
         # rebuilt through the trusted constructor; caches are not carried
-        return Family._from_canonical, (self.n, self.k, self.edges, self.masks)
+        return Family._from_array, (self.n, self.k, self.vertex_array())
+
+    @property
+    def edges(self):
+        """The edges as a sorted tuple of sorted vertex tuples."""
+        if self._edges is None:
+            object.__setattr__(
+                self, "_edges", tuple(map(tuple, self._array.tolist()))
+            )
+        return self._edges
+
+    @property
+    def masks(self):
+        """Per-edge int masks, bit v-1 set for vertex v."""
+        if self._masks is None:
+            if self.n <= 64:
+                masks = tuple(self.np_masks().tolist())
+            else:
+                masks = tuple(_edge_mask(e) for e in self.edges)
+            object.__setattr__(self, "_masks", masks)
+        return self._masks
+
+    def vertex_array(self):
+        """The edges as a read-only (m, k) int64 array, one sorted row per
+        edge, rows in lexicographic order."""
+        if self._array is None:
+            array = np.array(self._edges, dtype=np.int64).reshape(
+                len(self._edges), self.k
+            )
+            array.flags.writeable = False
+            object.__setattr__(self, "_array", array)
+        return self._array
 
     def __len__(self):
-        return len(self.edges)
+        if self._edges is not None:
+            return len(self._edges)
+        return len(self._array)
 
     def __iter__(self):
         return iter(self.edges)
@@ -129,14 +183,17 @@ class Family:
         return hash((self.n, self.k, self.edges))
 
     def __repr__(self):
-        return f"Family(n={self.n}, k={self.k}, m={len(self.edges)})"
+        return f"Family(n={self.n}, k={self.k}, m={len(self)})"
 
     def np_masks(self):
         """uint64 mask array for vectorized filters; None when n > 64."""
         if self.n > 64:
             return None
         if self._np_masks is None:
-            arr = np.array(self.masks, dtype=np.uint64)
+            bits = np.left_shift(
+                np.uint64(1), (self.vertex_array() - 1).astype(np.uint64)
+            )
+            arr = np.bitwise_or.reduce(bits, axis=1)
             object.__setattr__(self, "_np_masks", arr)
         return self._np_masks
 
@@ -149,16 +206,12 @@ class Family:
         return self._mask_index
 
     def degree(self, v):
-        bit = 1 << (v - 1)
-        return sum(1 for m in self.masks if m & bit)
+        return int(np.count_nonzero(self.vertex_array() == v))
 
     def degrees(self):
         """Vertex -> number of edges through it, for all of [n]."""
-        out = dict.fromkeys(range(1, self.n + 1), 0)
-        for e in self.edges:
-            for v in e:
-                out[v] += 1
-        return out
+        counts = np.bincount(self.vertex_array().ravel(), minlength=self.n + 1)
+        return dict(zip(range(1, self.n + 1), counts[1:].tolist()))
 
     def filter(self, avoid=(), meet=None):
         """Edges disjoint from `avoid` that intersect `meet`.

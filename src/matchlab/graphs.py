@@ -120,10 +120,9 @@ class SubgraphResult(NamedTuple):
 def _adjacency(g):
     n = g.n
     a = np.zeros((n + 1, n + 1), dtype=bool)
-    if g.edges:
-        idx = np.array(g.edges)
-        a[idx[:, 0], idx[:, 1]] = True
-        a[idx[:, 1], idx[:, 0]] = True
+    idx = g.vertex_array()
+    a[idx[:, 0], idx[:, 1]] = True
+    a[idx[:, 1], idx[:, 0]] = True
     return a
 
 
@@ -243,7 +242,7 @@ def _pair_level(g, degs, a_int):
 def _triple_values(g, degs, a_int):
     """For each u: best edge count among vertex triples avoiding u."""
     n = g.n
-    m = len(g.edges)
+    m = len(g)
     a2 = a_int @ a_int
     tri_per_vertex = np.diag(a2 @ a_int) // 2
     total_tri = int(np.trace(a2 @ a_int)) // 6
@@ -368,7 +367,7 @@ def max_nu_subgraph(g, s, force_oracle=False):
         degs_map = g.degrees()
         u = max(range(1, n + 1), key=lambda v: (degs_map[v], -v))
         best = (degs_map[u], ((u,), ()))
-        if g.edges and best[0] < 3:
+        if len(g) and best[0] < 3:
             a = _adjacency(g)
             a_int = a.astype(np.int64)
             degs = a_int.sum(axis=1)

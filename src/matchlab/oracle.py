@@ -334,7 +334,7 @@ def _k2_s1_max(host):
     An intersecting graph is a star or a triangle, so the optimum is the max
     degree unless a triangle beats it.
     """
-    if not host.edges:
+    if not len(host):
         return 0, Family._from_canonical(host.n, 2, [])
     degs = host.degrees()
     center = max(degs, key=lambda v: (degs[v], -v))
@@ -357,17 +357,18 @@ def max_family_nu_le(host, s, matching_cap=MATCHING_CAP, force_generic=False):
         return _k2_s1_max(host)
     cons_idx = _enum_matching_indices(host, s + 1, matching_cap)
     if not cons_idx:
-        return len(host.edges), host
+        return len(host), host
     solver = _HitSolver(host.masks, cons_idx, s)
+    edges = host.edges
     seeds = [
         _greedy_hitting(solver.cons, solver.num),
         _greedy_hitting(
-            solver.cons, solver.num, tiebreak=lambda i: (host.edges[i][-1], -i)
+            solver.cons, solver.num, tiebreak=lambda i: (edges[i][-1], -i)
         ),
     ]
     seeds.extend(_structural_seeds(host, s))
     opt, mask = solver.minimize(seeds=seeds)
-    return len(host.edges) - opt, _family_from_kept(host, mask)
+    return len(host) - opt, _family_from_kept(host, mask)
 
 
 def _keep_sets(host, m):
@@ -406,7 +407,7 @@ def _max_nontrivial(host, s, matching_cap, force_generic=False):
         if r is None:
             continue
         opt, mask = r
-        size = len(host.edges) - opt
+        size = len(host) - opt
         if best is None or size > best:
             best = size
             witness = _family_from_kept(host, mask)
@@ -429,11 +430,11 @@ def extremal_verdict(host, s, matching_cap=MATCHING_CAP, force_generic=False):
         opt_fam = witness
     else:
         opt_fam = host.filter(meet=mt.vertices)
-    opt_size = len(opt_fam.edges)
+    opt_size = len(opt_fam)
     opt_nu, _ = matching_number(opt_fam)
-    opt_tau = covering_number(opt_fam)[0] if opt_fam.edges else 0
+    opt_tau = covering_number(opt_fam)[0] if len(opt_fam) else 0
     return Verdict(
-        host_size=len(host.edges),
+        host_size=len(host),
         s=s,
         opt_size=opt_size,
         opt_family=opt_fam,

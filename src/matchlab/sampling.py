@@ -159,25 +159,13 @@ def sample_family(spec):
             f"C({n},{k}) = {universe} exceeds the 63-bit rank space"
         )
     if p == 0.0:
-        return Family._from_canonical(n, k, [])
-    if p == 1.0:
-        edges = list(itertools.combinations(range(1, n + 1), k))
-        return Family._from_canonical(n, k, edges)
-
-    gen = stream(spec.seed, spec.trial_index)
-    ranks = _geometric_ranks(universe, p, gen)
-    if len(ranks) == 0:
-        return Family._from_canonical(n, k, [])
-    verts = _unrank_batch(ranks, n, k)
-    edges = [tuple(row) for row in verts.tolist()]
-    if n <= 63:
-        shifted = np.sum(
-            np.left_shift(np.int64(1), verts - 1), axis=1
-        )
-        masks = [int(x) for x in shifted.tolist()]
+        ranks = np.empty(0, dtype=np.int64)
+    elif p == 1.0:
+        ranks = np.arange(universe, dtype=np.int64)
     else:
-        masks = [_edge_mask(e) for e in edges]
-    return Family._from_canonical(n, k, edges, masks)
+        gen = stream(spec.seed, spec.trial_index)
+        ranks = _geometric_ranks(universe, p, gen)
+    return Family._from_array(n, k, _unrank_batch(ranks, n, k))
 
 
 def trivial_count(n, k, s):
@@ -209,7 +197,7 @@ def max_trivial(fam, s, exact=None):
         raise ScaleError(
             f"C({fam.n},{s}) vertex sets is beyond the exact enumeration cap"
         )
-    if s == 0 or len(fam.edges) == 0:
+    if s == 0 or len(fam) == 0:
         return TrivialResult(tuple(range(1, s + 1)), 0, True)
 
     if exact:

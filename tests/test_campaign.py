@@ -163,6 +163,11 @@ class TestLemmaAudit:
         with pytest.raises(RangeError):
             lemma_audit(Family(8, 0, [()]), 2, 2, 0.5, 10, seed=1)
 
+    def test_empty_vertex_range_is_rejected(self):
+        # C(n-1, k-1) needs n >= 1
+        with pytest.raises(RangeError):
+            lemma_audit(Family(0, 2, []), 2, 2, 0.5, 10, seed=1)
+
     def test_to_dict_round_trip(self):
         rec = lemma_audit(complete_family(8, 2), 1, 1, 1.0, 10, seed=4)
         blob = json.loads(json.dumps(rec.to_dict()))

@@ -3,8 +3,9 @@ import os
 import pickle
 import tempfile
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matchlab import families
 from matchlab.errors import OverlapError, SizeError
@@ -290,6 +291,77 @@ class TestPickle:
         assert g.masks == f.masks
         assert g._nu is None
         assert matching_number(g) == matching_number(f)
+
+
+@st.composite
+def wide_family_args(draw):
+    """(n, k, edges) around the 64-vertex uint64 mask limit."""
+    n = draw(st.sampled_from([1, 2, 5, 9, 63, 64, 65, 200]))
+    k = draw(st.integers(min_value=1, max_value=min(n, 4)))
+    edge = st.sets(
+        st.integers(min_value=1, max_value=n), min_size=k, max_size=k
+    )
+    return n, k, draw(st.lists(edge, max_size=12))
+
+
+class TestArrayBacked:
+    """A family built from the canonical vertex array (as `sample_family`
+    builds it) is the family built from the same edges as tuples."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_family_args())
+    @example((8, 0, [()]))
+    @example((64, 3, []))
+    @example((63, 2, [(1, 63), (62, 63), (2, 3)]))
+    @example((64, 1, [(64,), (1,)]))
+    @example((65, 2, [(64, 65), (1, 65), (1, 2)]))
+    def test_same_family_either_form(self, args):
+        n, k, edges = args
+        canon = sorted({tuple(sorted(e)) for e in edges})
+        rows = np.array(canon, dtype=np.int64).reshape(len(canon), k)
+
+        def both():
+            # fresh pair per check, so each view is derived from one form
+            return Family(n, k, edges), Family._from_array(n, k, rows)
+
+        masks = tuple(sum(1 << (v - 1) for v in e) for e in canon)
+        deg = {v: sum(v in e for e in canon) for v in range(1, n + 1)}
+        tup, arr = both()
+        assert arr == tup and tup == arr and hash(arr) == hash(tup)
+        tup, arr = both()
+        assert len(tup) == len(arr) == len(canon)
+        tup, arr = both()
+        assert tup.edges == arr.edges == tuple(canon)
+        tup, arr = both()
+        assert tup.masks == arr.masks == masks
+        tup, arr = both()
+        if n > 64:
+            assert tup.np_masks() is None and arr.np_masks() is None
+        else:
+            want = np.array(masks, dtype=np.uint64)
+            assert np.array_equal(tup.np_masks(), want)
+            assert np.array_equal(arr.np_masks(), want)
+        tup, arr = both()
+        assert tup.degrees() == arr.degrees() == deg
+        tup, arr = both()
+        assert np.array_equal(tup.vertex_array(), rows)
+        for f in both():
+            g = pickle.loads(pickle.dumps(f))
+            assert g == f and g.edges == tuple(canon) and g.masks == masks
+
+    def test_vertex_array_is_read_only(self):
+        for f in (
+            Family(5, 2, [(1, 2), (3, 4)]),
+            Family._from_array(5, 2, np.array([[1, 2], [3, 4]])),
+        ):
+            with pytest.raises(ValueError):
+                f.vertex_array()[0, 0] = 5
+
+    def test_differs_from_other_edges(self):
+        f = Family._from_array(5, 2, np.array([[1, 2], [3, 4]]))
+        assert f != Family(5, 2, [(1, 2), (3, 5)])
+        assert f != Family._from_array(5, 2, np.array([[1, 2]]))
+        assert f != Family._from_array(6, 2, np.array([[1, 2], [3, 4]]))
 
 
 class TestMatchingCache:

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchlab import families, sampling
 from matchlab.errors import InvalidPartitionError, RangeError, ScaleError
 from matchlab.families import Family, complete_family, matching_number
 from matchlab.graphs import (
@@ -15,6 +16,7 @@ from matchlab.graphs import (
     partition_edge_count,
 )
 from matchlab.oracle import max_family_nu_le
+from matchlab.sampling import SampleSpec, sample_family
 
 K5_PART = SPartition((), ((1, 2, 3, 4, 5),))
 STAR_PART = SPartition((1,), tuple((v,) for v in range(2, 7)))
@@ -244,6 +246,25 @@ class TestMaxNuSubgraph:
         assert calls == []
         max_nu_subgraph(g, 1)
         assert calls == [20]
+
+    def test_sampled_host_needs_no_masks(self, monkeypatch):
+        # the k = 2 fast paths read the sampler's vertex array; no per-edge
+        # int mask or edge tuple is built for them
+        calls = []
+        edge_mask = families._edge_mask
+
+        def counting(edge):
+            calls.append(edge)
+            return edge_mask(edge)
+
+        for mod in (families, sampling):
+            monkeypatch.setattr(mod, "_edge_mask", counting)
+        g = sample_family(SampleSpec(n=200, k=2, p=0.3, seed=5))
+        got = [max_nu_subgraph(g, s) for s in (1, 2)]
+        assert calls == []
+        assert g._edges is None
+        again = Family(200, 2, g.edges)
+        assert got == [max_nu_subgraph(again, s) for s in (1, 2)]
 
     def test_deterministic(self):
         rng = random.Random(79)
