@@ -384,8 +384,10 @@ class CampaignConfig:
             ):
                 raise ConfigError("p must be \"auto\" or a list in [0, 1]")
             object.__setattr__(self, "p", tuple(float(v) for v in ps))
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ConfigError(
+                f"trials must be an int >= 1, got {self.trials!r}"
+            )
         if self.threads is not None and (
             not _is_int(self.threads) or self.threads < 1
         ):
@@ -396,8 +398,10 @@ class CampaignConfig:
             raise ConfigError(f"seed must be an int, got {self.seed!r}")
         if self.floor is not None and not 0 <= self.floor <= 1:
             raise ConfigError(f"floor must be in [0, 1], got {self.floor}")
-        if self.budget < 1:
-            raise ConfigError(f"budget must be >= 1, got {self.budget}")
+        if not _is_int(self.budget) or self.budget < 1:
+            raise ConfigError(
+                f"budget must be an int >= 1, got {self.budget!r}"
+            )
         if not self.out:
             raise ConfigError("out path stem is required")
 

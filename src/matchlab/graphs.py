@@ -7,7 +7,8 @@ B and fills each part; for n >= 2s + 2 the structure graph has matching
 number exactly s, and every graph with matching number at most s sits
 inside some structure graph.  The largest nu <= s subgraph of G therefore
 has max_P |E(G) cap E(structure(P))| edges, which is what
-max_nu_subgraph computes.
+max_nu_subgraph computes, by one exact branch-and-bound search over the
+levels |B| = s, ..., 0 for every n and s.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ import numpy as np
 from .errors import InvalidPartitionError, RangeError, ScaleError
 from .families import Family, matching_number
 
-_EXACT_N_CAP = 16
 _ASSIGN_NODE_CAP = 5_000_000
-_SUPPORT_ENUM_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -117,232 +116,221 @@ class SubgraphResult(NamedTuple):
     partition: SPartition | None
 
 
-def _adjacency(g):
-    n = g.n
-    a = np.zeros((n + 1, n + 1), dtype=bool)
-    idx = g.vertex_array()
-    a[idx[:, 0], idx[:, 1]] = True
-    a[idx[:, 1], idx[:, 0]] = True
-    return a
-
-
-def _singleton_fill(n, b_set, parts):
-    used = set(b_set)
-    for p in parts:
-        used |= set(p)
-    full = tuple(parts) + tuple(
-        (v,) for v in range(1, n + 1) if v not in used
-    )
-    return SPartition(tuple(b_set), full)
-
-
-def _odd_part_budgets(r):
-    """Descending positive tuples summing to r; sizes are 2c+1 each."""
-    if r == 0:
+def _part_sizes(rem, cap):
+    """Sizes 2c + 1 of the odd parts, largest first, of every split of the
+    budget rem into part budgets c <= cap."""
+    if rem == 0:
         yield ()
         return
-    def rec(rem, cap):
-        if rem == 0:
-            yield ()
-            return
-        for c in range(min(rem, cap), 0, -1):
-            for tail in rec(rem - c, c):
-                yield (c,) + tail
-    yield from rec(r, r)
+    for c in range(min(rem, cap), 0, -1):
+        for tail in _part_sizes(rem - c, c):
+            yield (2 * c + 1,) + tail
 
 
-def _enum_exact(g, s):
-    """Full search over s-partitions; only for small vertex counts."""
-    n = g.n
-    adj = [0] * (n + 1)
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    m = len(g.edges)
-    masks = g.masks
-
-    def inside(vmask):
-        tot = 0
-        v = vmask
-        while v:
-            low = v & -v
-            tot += (adj[low.bit_length() - 1] & vmask).bit_count()
-            v ^= low
-        return tot // 2
-
-    def avoid_count(bmask):
-        return sum(1 for em in masks if em & bmask == 0)
-
-    best = (-1, None)
-    nodes = 0
-    verts = range(1, n + 1)
-    for b in range(s, -1, -1):
-        sizes = [tuple(2 * c + 1 for c in cfg) for cfg in _odd_part_budgets(s - b)]
-        for b_tuple in itertools.combinations(verts, b):
-            nodes += 1
-            if nodes > _ASSIGN_NODE_CAP:
-                raise ScaleError("partition search exceeded its node cap")
-            bmask = 0
-            for v in b_tuple:
-                bmask |= 1 << (v - 1)
-            base = m - avoid_count(bmask)
-            free = [v for v in verts if v not in b_tuple]
-            for cfg in sizes:
-                def assign(i, pool, acc, val):
-                    nonlocal best, nodes
-                    if i == len(cfg):
-                        if val > best[0]:
-                            best = (val, (b_tuple, tuple(acc)))
-                        return
-                    nodes += 1
-                    if nodes > _ASSIGN_NODE_CAP:
-                        raise ScaleError(
-                            "partition search exceeded its node cap"
-                        )
-                    size = cfg[i]
-                    for combo in itertools.combinations(pool, size):
-                        if (
-                            i > 0
-                            and len(acc[-1]) == size
-                            and combo < acc[-1]
-                        ):
-                            continue
-                        cmask = 0
-                        for v in combo:
-                            cmask |= 1 << v
-                        acc.append(combo)
-                        assign(
-                            i + 1,
-                            [v for v in pool if not cmask >> v & 1],
-                            acc,
-                            val + inside(cmask),
-                        )
-                        acc.pop()
-                if not cfg:
-                    if base > best[0]:
-                        best = (base, (b_tuple, ()))
-                    continue
-                assign(0, free, [], base)
-    val, (b_tuple, parts) = best
-    return SubgraphResult(val, _singleton_fill(n, b_tuple, parts))
+def _fill(x, d):
+    """sum(min(i, d) for i in range(x)): the most edges x vertices of
+    degree <= d add to a part when they join it one at a time."""
+    c = min(x, d + 1)
+    return c * (c - 1) // 2 + d * (x - c)
 
 
-def _pair_level(g, degs, a_int):
-    """Best |B| = 2 with singleton parts: edges meeting the pair."""
-    n = g.n
-    vals = degs[1:, None] + degs[None, 1:] - a_int[1:, 1:]
-    iu = np.triu_indices(n, k=1)
-    flat = vals[iu]
-    pos = int(np.argmax(flat))
-    u = int(iu[0][pos]) + 1
-    v = int(iu[1][pos]) + 1
-    return int(flat[pos]), (u, v)
+class _Search:
+    """Degrees, neighbour masks and incumbent of one max_nu_subgraph call.
+
+    The search itself is module-level functions, so nothing here refers
+    back to this object and a finished search leaves no reference cycle.
+    """
+
+    __slots__ = ("g", "deg", "order", "prefix", "nbrs", "best", "witness",
+                 "nodes")
+
+    def __init__(self, g):
+        counts = np.bincount(g.vertex_array().ravel(), minlength=g.n + 1)
+        # B never needs an isolated vertex: swapped for budget in the parts,
+        # it lets a level below reach the same edges
+        order = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+        self.g = g
+        self.deg = counts.tolist()
+        self.order = order.tolist()
+        self.prefix = [0] + np.cumsum(counts[order]).tolist()
+        self.nbrs = None
+        self.best = -1
+        self.witness = None
+        self.nodes = 0
+
+    def masks(self):
+        """nbrs[v] has bit w set iff vw is an edge; built on first use."""
+        if self.nbrs is None:
+            n = self.g.n
+            a = np.zeros((n + 1, n + 1), dtype=bool)
+            idx = self.g.vertex_array()
+            a[idx[:, 0], idx[:, 1]] = True
+            a[idx[:, 1], idx[:, 0]] = True
+            rows = np.packbits(a, axis=1, bitorder="little").tobytes()
+            w = len(rows) // (n + 1)
+            self.nbrs = [
+                int.from_bytes(rows[i : i + w], "little")
+                for i in range(0, len(rows), w)
+            ]
+        return self.nbrs
+
+    def tick(self):
+        self.nodes += 1
+        if self.nodes > _ASSIGN_NODE_CAP:
+            raise ScaleError("partition search exceeded its node cap")
+
+    def offer(self, value, b_set, parts, sizes):
+        if value > self.best:
+            self.best = value
+            self.witness = (b_set, parts, sizes)
 
 
-def _triple_values(g, degs, a_int):
-    """For each u: best edge count among vertex triples avoiding u."""
-    n = g.n
-    m = len(g)
-    a2 = a_int @ a_int
-    tri_per_vertex = np.diag(a2 @ a_int) // 2
-    total_tri = int(np.trace(a2 @ a_int)) // 6
-    t3 = np.zeros(n + 1, dtype=np.int64)
-    for u in range(1, n + 1):
-        if total_tri - int(tri_per_vertex[u]) > 0:
-            t3[u] = 3
-            continue
-        reduced = degs - a_int[u]
-        reduced[u] = 0
-        reduced[0] = 0
-        if int(reduced.max()) >= 2:
-            t3[u] = 2
-        elif m - int(degs[u]) > 0:
-            t3[u] = 1
-    return t3
-
-
-def _recover_triple(g, u, want):
-    """A vertex triple avoiding u with `want` internal edges."""
-    nbrs = {v: set() for v in range(1, g.n + 1)}
-    for x, y in g.edges:
-        nbrs[x].add(y)
-        nbrs[y].add(x)
-    if want == 3:
-        for x, y in g.edges:
-            if u in (x, y):
-                continue
-            common = (nbrs[x] & nbrs[y]) - {u}
-            if common:
-                return tuple(sorted((x, y, min(common))))
-    if want == 2:
-        for w in range(1, g.n + 1):
-            if w == u:
-                continue
-            two = sorted(nbrs[w] - {u})[:2]
-            if len(two) == 2:
-                return tuple(sorted([w] + two))
-    if want == 1:
-        for x, y in g.edges:
-            if u not in (x, y):
-                z = min(v for v in range(1, g.n + 1) if v not in (u, x, y))
-                return tuple(sorted((x, y, z)))
-    return tuple(v for v in range(1, g.n + 1) if v != u)[:3]
-
-
-def _support_sets(g, size, cap):
-    """Candidate vertex sets for zero-B parts, confined to the support."""
-    support = sorted({v for e in g.edges for v in e})
-    fillers = [v for v in range(1, g.n + 1) if v not in set(support)]
-    take = min(size, len(support))
-    if comb(len(support), take) > cap:
-        raise ScaleError(
-            f"support of {len(support)} vertices is too large for the "
-            f"zero-B partition search"
-        )
-    nbrs = {v: set() for v in support}
-    for x, y in g.edges:
-        nbrs[x].add(y)
-        nbrs[y].add(x)
-    out = []
-    for combo in itertools.combinations(support, take):
-        cs = set(combo)
-        val = sum(len(nbrs[v] & cs) for v in combo) // 2
-        full = combo + tuple(fillers[: size - take])
-        if len(full) == size:
-            out.append((val, full))
-    return out
-
-
-def _zero_level_s2(g, cap):
-    """Best B = empty at s = 2: one 5-part, or two disjoint 3-parts."""
-    best = (-1, None)
-    if g.n >= 5:
-        for val, vs in _support_sets(g, 5, cap):
-            if val > best[0]:
-                best = (val, (vs,))
-    triples = sorted(_support_sets(g, 3, cap), reverse=True)
-    for i, (v1, t1) in enumerate(triples):
-        if 2 * v1 <= best[0]:
+def _choose_b(st, b, r, room, start, chosen, bmask, value):
+    """Grow B = chosen, met by `value` edges, to b vertices from
+    st.order[start:]; then pack odd parts of budget r, which hold at most
+    `room` edges, into G - B."""
+    if len(chosen) == b:
+        if r:
+            _pack(st, chosen, bmask, value, r)
+        else:
+            st.offer(value, chosen, (), ())
+        return
+    need = b - len(chosen)
+    order, prefix, deg = st.order, st.prefix, st.deg
+    for i in range(start, len(order) - need + 1):
+        if value + prefix[i + need] - prefix[i] + room <= st.best:
             break
-        s1 = set(t1)
-        for v2, t2 in triples[i:]:
-            if v1 + v2 <= best[0]:
+        st.tick()
+        v = order[i]
+        gain = deg[v]
+        if chosen:
+            gain -= (st.masks()[v] & bmask).bit_count()
+        _choose_b(st, b, r, room, i + 1, chosen + (v,), bmask | 1 << v,
+                  value + gain)
+
+
+def _cap(z, d):
+    """Most edges a part of z vertices, none of degree above d, holds."""
+    return min(_fill(z, d), z * d // 2)
+
+
+def _bound(sizes, degs):
+    """Most edges odd parts of these sizes hold when the degrees open to
+    them are at most degs, in descending order: part by part, and half
+    the degree sum of the largest sum(sizes) vertices."""
+    top = degs[0] if degs else 0
+    return min(sum(_cap(z, top) for z in sizes), sum(degs[: sum(sizes)]) // 2)
+
+
+class _Packing(NamedTuple):
+    """One split of the budget: the part sizes, and tails[i], the most
+    edges parts i, i + 1, ... can hold."""
+
+    b_set: tuple
+    sizes: tuple
+    tails: tuple
+
+
+def _pack(st, b_set, bmask, base, r):
+    """Odd parts of total budget r in G - B, on top of the `base` edges
+    meeting B.  Parts grow from the non-isolated vertices outside B in
+    st.order; the rest of each part is filled from unused vertices when
+    the witness is built."""
+    degs = [
+        st.deg[v] for v in st.order[: len(b_set) + 3 * r] if not bmask >> v & 1
+    ]
+    for sizes in _part_sizes(r, r):
+        if sum(sizes) > st.g.n - len(b_set):
+            continue
+        tails = tuple(_bound(sizes[k:], degs) for k in range(len(sizes) + 1))
+        if base + min(tails[0], len(st.g) - base) > st.best:
+            pk = _Packing(b_set, sizes, tails)
+            _grow(st, pk, 0, base, (), (), 0, 0, 0, 0, bmask, 0)
+
+
+def _grow(st, pk, i, done, parts, part, pmask, reach, inside, degsum, used,
+          start):
+    """Part i holds the positions `part` of st.order: vertex mask pmask,
+    neighbours `reach`, `inside` edges and degree sum degsum.  B and the
+    earlier parts hold `done` edges, and `used` marks their vertices.
+    Close part i, or add a vertex from positions start onward."""
+    z = pk.sizes[i]
+    if pmask & ~reach == 0:
+        # close only parts whose members all have a neighbour in the part;
+        # a member without one is a filler, reached from the part without it
+        got = done + inside
+        if i + 1 == len(pk.sizes):
+            if got > st.best:
+                st.offer(got, pk.b_set, tuple(
+                    tuple(st.order[q] for q in p) for p in parts + (part,)
+                ), pk.sizes)
+        elif got + pk.tails[i + 1] > st.best:
+            if pk.sizes[i + 1] < z:
+                nxt = 0
+            else:
+                # equal sizes: parts in order of their first position
+                nxt = part[0] + 1 if part else len(st.order)
+            _grow(st, pk, i + 1, got, parts + (part,), (), 0, 0, 0, 0, used,
+                  nxt)
+    j = len(part)
+    if j == z:
+        return
+    order, deg, nbrs = st.order, st.deg, st.masks()
+    rest = done + pk.tails[i + 1]
+    last = -1
+    for q in range(start, len(order)):
+        d = deg[order[q]]
+        if d != last:
+            # no vertex from q on has degree above d: each adds at most
+            # min(size so far, d) edges, and the part holds at most half
+            # its degree sum
+            last = d
+            more = _fill(z, d) - _fill(j + 1, d)
+            if rest + min(inside + min(j, d) + more,
+                          (degsum + (z - j) * d) // 2) <= st.best:
                 break
-            if not s1 & set(t2):
-                best = (v1 + v2, (t1, t2))
-                break
-    return best
+        w = order[q]
+        bit = 1 << w
+        if used & bit:
+            continue
+        gain = (nbrs[w] & pmask).bit_count()
+        if rest + inside + gain + more <= st.best:
+            continue
+        st.tick()
+        _grow(st, pk, i, done, parts, part + (q,), pmask | bit,
+              reach | nbrs[w], inside + gain, degsum + d, used | bit, q + 1)
+
+
+def _witness(n, b_set, parts, sizes):
+    """The s-partition of a search witness: each odd part is topped up to
+    its size with unused vertices, lowest first; the rest are singletons.
+    The search is exact, so no top-up vertex adds an edge."""
+    used = set(b_set).union(*parts)
+    spare = [v for v in range(1, n + 1) if v not in used]
+    full = []
+    for p, z in zip(parts, sizes):
+        full.append(p + tuple(spare[: z - len(p)]))
+        del spare[: z - len(p)]
+    return SPartition(b_set, tuple(full) + tuple((v,) for v in spare))
 
 
 def max_nu_subgraph(g, s, force_oracle=False):
     """Exact maximum edge count of a subgraph with matching number <= s.
 
     Needs n >= 2s + 2, where the maximum is a maximum over s-partitions
-    of the overlap with the structure graph.  Below that threshold the
-    structural guarantee fails; force_oracle=True falls back to the
-    subfamily solver and returns no partition.  Search strategy: level
-    |B| = s is closed under a degree-sum scan, the remaining levels are
-    either pruned by upper bounds or enumerated.
+    (B, odd parts) of the overlap with the structure graph.  Below that
+    threshold the structural guarantee fails; force_oracle=True falls back
+    to the subfamily solver and returns no partition.
+
+    One search serves every n and s.  It visits the levels |B| = s, ...,
+    0.  On each, B is picked from the non-isolated vertices in descending
+    degree order; a partial B is dropped once its edges plus the next
+    degrees plus the most that odd parts of budget r = s - |B| can hold
+    (C(2r + 1, 2), or less when degrees are small) cannot beat the
+    incumbent.  For r > 0 the parts are packed into G - B, each grown one
+    vertex at a time, pruned by the edges it has plus the most its open
+    places and the later parts can add.  ScaleError is raised only when
+    the search exceeds _ASSIGN_NODE_CAP nodes.
     """
     if g.k != 2:
         raise RangeError(f"k must be 2, got {g.k}")
@@ -358,52 +346,13 @@ def max_nu_subgraph(g, s, force_oracle=False):
         from .oracle import max_family_nu_le
 
         return SubgraphResult(max_family_nu_le(g, s)[0], None)
-    if s == 0:
-        return SubgraphResult(0, _singleton_fill(n, (), ()))
-    if n <= _EXACT_N_CAP:
-        return _enum_exact(g, s)
-
-    if s == 1:
-        degs_map = g.degrees()
-        u = max(range(1, n + 1), key=lambda v: (degs_map[v], -v))
-        best = (degs_map[u], ((u,), ()))
-        if len(g) and best[0] < 3:
-            a = _adjacency(g)
-            a_int = a.astype(np.int64)
-            degs = a_int.sum(axis=1)
-            t3 = _triple_values(g, degs, a_int)
-            tri_best = int(t3[1:].max())
-            if tri_best > best[0]:
-                u2 = int(np.argmax(t3[1:])) + 1
-                triple = _recover_triple(g, u2, tri_best)
-                best = (tri_best, ((), (triple,)))
-        val, (b_tuple, parts) = best
-        return SubgraphResult(val, _singleton_fill(n, b_tuple, parts))
-    if s == 2:
-        a = _adjacency(g)
-        a_int = a.astype(np.int64)
-        degs = a_int.sum(axis=1)
-        val2, pair = _pair_level(g, degs, a_int)
-        best = (val2, (pair, ()))
-        max_deg = int(degs.max()) if n else 0
-        if max_deg + 3 > best[0]:
-            t3 = _triple_values(g, degs, a_int)
-            lvl = degs + t3
-            lvl[0] = -1
-            u = int(np.argmax(lvl))
-            if int(lvl[u]) > best[0]:
-                triple = _recover_triple(g, u, int(t3[u]))
-                best = (int(lvl[u]), ((u,), (triple,)))
-        if 10 > best[0]:
-            val0, parts0 = _zero_level_s2(g, _SUPPORT_ENUM_CAP)
-            if val0 > best[0]:
-                best = (val0, ((), parts0))
-        val, (b_tuple, parts) = best
-        return SubgraphResult(val, _singleton_fill(n, b_tuple, parts))
-    raise ScaleError(
-        f"exact search supports n <= {_EXACT_N_CAP} for s >= 3; "
-        f"got n={n}, s={s}"
-    )
+    st = _Search(g)
+    degs = [st.deg[v] for v in st.order[: 3 * s]]
+    for b in range(min(s, len(st.order)), -1, -1):
+        room = max(_bound(sizes, degs) for sizes in _part_sizes(s - b, s - b))
+        if min(st.prefix[b] + room, len(g)) > st.best:
+            _choose_b(st, b, s - b, room, 0, (), 0, 0)
+    return SubgraphResult(st.best, _witness(n, *st.witness))
 
 
 def extremal_graphs(n, s):

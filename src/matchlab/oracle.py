@@ -266,25 +266,35 @@ def _greedy_hitting(cons, num, tiebreak=None):
     return deleted
 
 
-def _structural_seeds(host, level):
-    """Deletion masks whose residual families provably have nu <= level.
+def _star_seeds(host, level):
+    """Deletion masks keeping only the edges that meet a level-set T.
 
-    Keeping only edges that meet a fixed level-set T gives tau <= level;
-    keeping only edges inside a (k(level+1)-1)-set W leaves no room for
-    level+1 disjoint edges.  Both are the extremal shapes at p=1.
+    Each residual family has tau <= level, the extremal shape at p=1.
     """
-    n, k = host.n, host.k
     masks = host.masks
     full = (1 << len(masks)) - 1
     seeds = []
-    if comb(n, level) <= _STRUCT_SEED_CAP:
-        for t_set in itertools.combinations(range(1, n + 1), level):
+    if comb(host.n, level) <= _STRUCT_SEED_CAP:
+        for t_set in itertools.combinations(range(1, host.n + 1), level):
             tm = _edge_mask(t_set)
             keep = 0
             for i, em in enumerate(masks):
                 if em & tm:
                     keep |= 1 << i
             seeds.append(full & ~keep)
+    return seeds
+
+
+def _window_seeds(host, level):
+    """Deletion masks keeping only the edges inside a (k(level+1)-1)-set W.
+
+    No residual family has room for level+1 disjoint edges; the other
+    extremal shape at p=1.
+    """
+    n, k = host.n, host.k
+    masks = host.masks
+    full = (1 << len(masks)) - 1
+    seeds = []
     w_size = k * (level + 1) - 1
     if 0 <= w_size <= n and comb(n, w_size) <= _STRUCT_SEED_CAP:
         for w_set in itertools.combinations(range(1, n + 1), w_size):
@@ -366,7 +376,8 @@ def max_family_nu_le(host, s, matching_cap=MATCHING_CAP, force_generic=False):
             solver.cons, solver.num, tiebreak=lambda i: (edges[i][-1], -i)
         ),
     ]
-    seeds.extend(_structural_seeds(host, s))
+    seeds.extend(_star_seeds(host, s))
+    seeds.extend(_window_seeds(host, s))
     opt, mask = solver.minimize(seeds=seeds)
     return len(host) - opt, _family_from_kept(host, mask)
 
@@ -398,9 +409,11 @@ def _max_nontrivial(host, s, matching_cap, force_generic=False):
         keeps = _keep_sets(host, m)
         if any(ks == 0 for ks in keeps):
             continue
+        # a star seed deletes exactly the edges avoiding its T, a keep-set
+        # (keeps[T]), so only window seeds can be feasible here
         seeds = [
             cand
-            for cand in _structural_seeds(host, m)
+            for cand in _window_seeds(host, m)
             if all(ks & ~cand for ks in keeps)
         ]
         r = solver.minimize(keep_sets=keeps, seeds=seeds)

@@ -258,6 +258,11 @@ class TestCampaignConfig:
             {"budget": 0},
             {"out": ""},
             {"bogus": 1},
+            {"trials": 2.5},
+            {"trials": True},
+            {"budget": 2.5},
+            {"budget": True},
+            {"budget": "100"},
         ],
     )
     def test_rejects(self, over):

@@ -245,6 +245,27 @@ class TestCampaignVerb:
         assert "config error" in err
         assert not (tmp_path / "run.jsonl").exists()
 
+    def test_fractional_budget_exit(self, tmp_path, capsys):
+        cfg = self.write_cfg(
+            tmp_path,
+            {
+                "kind": "audit",
+                "n": [8],
+                "k": [2],
+                "s": [1],
+                "t": [1],
+                "p": [0.5],
+                "trials": 1,
+                "seed": 1,
+                "budget": 2.5,
+                "out": str(tmp_path / "run"),
+            },
+        )
+        code, _, err = run(capsys, "campaign", "--config", cfg)
+        assert code == 2
+        assert "config error" in err
+        assert not (tmp_path / "run.jsonl").exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

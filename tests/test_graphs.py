@@ -1,10 +1,11 @@
+import gc
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchlab import families, sampling
+from matchlab import families, graphs, sampling
 from matchlab.errors import InvalidPartitionError, RangeError, ScaleError
 from matchlab.families import Family, complete_family, matching_number
 from matchlab.graphs import (
@@ -191,15 +192,35 @@ class TestMaxNuSubgraph:
         assert r.size == 10
         assert r.partition is None
 
-    def test_scale_cap(self):
+    def test_scale_cap(self, monkeypatch):
+        # past the old n <= 16 limit for s >= 3; only the node cap is left
+        for n in range(17, 21):
+            for s in (3, 4, 5):
+                r = max_nu_subgraph(complete_family(n, 2), s)
+                assert r.size == f_bound(n, s)
+        host = sample_family(
+            SampleSpec(n=40, k=2, p=0.05, seed=1, trial_index=1)
+        )
+        assert max_nu_subgraph(host, 3).size == 12
+        monkeypatch.setattr(graphs, "_ASSIGN_NODE_CAP", 20)
         with pytest.raises(ScaleError):
-            max_nu_subgraph(complete_family(17, 2), 3)
+            max_nu_subgraph(host, 3)
 
     def test_two_disjoint_cliques_need_empty_b(self):
         edges = list(itertools.combinations(range(1, 6), 2))
         edges += list(itertools.combinations(range(6, 11), 2))
         r = max_nu_subgraph(Family(30, 2, edges), 2)
         assert r.size == 10
+
+    def test_interleaved_equal_parts(self):
+        # all degrees tie, so the triangles interleave in the search order
+        two = Family(8, 2, [(1, 3), (1, 5), (3, 5), (2, 4), (2, 6), (4, 6)])
+        assert max_nu_subgraph(two, 2).size == 6
+        three = Family(
+            9, 2, [e for t in ((1, 4, 7), (2, 5, 8), (3, 6, 9))
+                   for e in itertools.combinations(t, 2)]
+        )
+        assert max_nu_subgraph(three, 3).size == 9
 
     def test_large_star_plus_triangle_prefers_mixed(self):
         edges = [(1, v) for v in range(2, 52)]
@@ -232,7 +253,8 @@ class TestMaxNuSubgraph:
             g = random_graph(rng, n, 0.25)
             assert max_nu_subgraph(g, s).size == max_family_nu_le(g, s)[0]
 
-    def test_pair_level_skips_degree_map(self, monkeypatch):
+    def test_search_skips_degree_map(self, monkeypatch):
+        # the search reads degrees off the vertex array
         calls = []
         degrees = Family.degrees
 
@@ -243,13 +265,12 @@ class TestMaxNuSubgraph:
         monkeypatch.setattr(Family, "degrees", counting)
         g = random_graph(random.Random(80), 20, 0.3)
         assert max_nu_subgraph(g, 2).size == max_family_nu_le(g, 2)[0]
-        assert calls == []
         max_nu_subgraph(g, 1)
-        assert calls == [20]
+        assert calls == []
 
     def test_sampled_host_needs_no_masks(self, monkeypatch):
-        # the k = 2 fast paths read the sampler's vertex array; no per-edge
-        # int mask or edge tuple is built for them
+        # the k = 2 search reads the sampler's vertex array; no per-edge
+        # int mask or edge tuple is built for it
         calls = []
         edge_mask = families._edge_mask
 
@@ -265,6 +286,52 @@ class TestMaxNuSubgraph:
         assert g._edges is None
         again = Family(200, 2, g.edges)
         assert got == [max_nu_subgraph(again, s) for s in (1, 2)]
+
+    @pytest.mark.parametrize(
+        "host, s",
+        [
+            (complete_family(12, 2), 2),
+            (SampleSpec(n=200, k=2, p=0.3, seed=5), 2),
+            # reaches the part packing of level |B| = 0
+            (SampleSpec(n=40, k=2, p=0.05, seed=1, trial_index=1), 2),
+        ],
+        ids=["K12", "n200", "n40-packing"],
+    )
+    def test_leaves_no_garbage_cycles(self, host, s):
+        # a cycle through the search would keep each host's vertex array
+        # alive until the next collection
+        g = host if isinstance(host, Family) else sample_family(host)
+        gc.collect()
+        gc.disable()
+        try:
+            max_nu_subgraph(g, s)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_s3_matches_subfamily_solver(self):
+        rng = random.Random(83)
+        for _ in range(150):
+            n = rng.randrange(8, 21)
+            pool = list(itertools.combinations(range(1, n + 1), 2))
+            g = Family(n, 2, rng.sample(pool, rng.randrange(0, 26)))
+            r = max_nu_subgraph(g, 3)
+            assert r.size == max_family_nu_le(g, 3)[0]
+            built = build_partition_graph(r.partition, n)
+            kept = Family(n, 2, sorted(set(g.edges) & set(built.edges)))
+            assert len(kept) == r.size
+            assert matching_number(kept)[0] <= 3
+
+    def test_witness_checked_by_networkx(self):
+        nx = pytest.importorskip("networkx")
+        g = sample_family(SampleSpec(n=200, k=2, p=0.3, seed=7))
+        for s in range(1, 6):
+            r = max_nu_subgraph(g, s)
+            built = build_partition_graph(r.partition, 200)
+            kept = set(g.edges) & set(built.edges)
+            assert len(kept) == r.size
+            h = nx.Graph(kept)
+            assert len(nx.max_weight_matching(h, maxcardinality=True)) <= s
 
     def test_deterministic(self):
         rng = random.Random(79)
