@@ -9,9 +9,12 @@ The non-trivial maximum is found the same way with side constraints: a
 family F with nu(F) = m is non-trivial iff no m-vertex set covers it, so for
 each level m <= s we minimize deletions subject to "every (m+1)-matching is
 hit" plus "for every m-set T, at least one edge avoiding T survives", and
-take the best level.  Any family satisfying the level-m constraints has
-tau > m >= nu, hence is non-trivial, and conversely every non-trivial family
-with nu <= s is feasible at level nu(F).  A trivial family with nu <= s is
+take the best level.  The levels are searched from m = s down to 1, each
+starting from the best size found so far, so a lower level that cannot reach
+it is usually cut at its root; on a tie the lower level's witness is kept.
+Any family satisfying the level-m constraints has tau > m >= nu, hence is
+non-trivial, and conversely every non-trivial family with nu <= s is
+feasible at level nu(F).  A trivial family with nu <= s is
 covered by nu <= s vertices, so it lies in the star of some s-set; the
 verdict's optimum is therefore the larger of the best star and the
 non-trivial maximum, with no third solve.
@@ -30,7 +33,6 @@ from .families import (
     Matching,
     covering_number,
     matching_number,
-    _edge_mask,
 )
 from .sampling import max_trivial
 
@@ -110,30 +112,49 @@ def enumerate_matchings(fam, size, cap=MATCHING_CAP):
     return [Matching(tuple(edges[i] for i in t)) for t in idxs]
 
 
+def _bitset(indices, size):
+    """The int with exactly the given bits set, all below `size`."""
+    buf = bytearray((size + 7) >> 3)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 class _HitSolver:
     """Minimum hitting set over matching constraints, by branch and bound.
 
-    Items are host edge indices.  A constraint is hit when one of its items
-    is deleted.  Branching on a constraint's items in order, protecting the
-    earlier ones, partitions the solution space.  The lower bound groups
-    support items into pairwise-disjoint bundles (first fit); a bundle of g
-    surviving edges is itself a matching, so any feasible completion deletes
-    at least g - level of them.
+    Items are host edge indices and constraints are (level+1)-matchings.  A
+    constraint is hit when one of its items is deleted.  Branching on a
+    constraint's items in order, protecting the earlier ones, partitions the
+    solution space.  The lower bound groups support items into
+    pairwise-disjoint bundles (first fit); a bundle of g surviving edges is
+    itself a matching, so any feasible completion deletes at least g - level
+    of them.
+
+    The state is transposed: `hits[j]` is the bitset of the constraints that
+    contain item j, so deleting j drops its constraints by one AND-NOT on the
+    bitset of unhit constraints.  `buckets[t]` holds the constraints with
+    exactly t protected items; among unhit ones, t = level + 1 is infeasible,
+    t = level forces the last item, and branching takes the first constraint
+    of the fullest bucket below that.  The search runs on an explicit stack,
+    so its depth is not bounded by the interpreter's recursion limit.
     """
 
     def __init__(self, item_masks, constraints, level):
         self.num = len(item_masks)
         self.level = level
-        self.cons = []
-        support = set()
-        for t in constraints:
-            cm = 0
+        self.cons = constraints
+        self.all = (1 << len(constraints)) - 1
+        self.nodes = 0
+        rows = [[] for _ in range(self.num)]
+        for c, t in enumerate(constraints):
             for i in t:
-                cm |= 1 << i
-            self.cons.append(cm)
-            support.update(t)
+                rows[i].append(c)
+        self.hits = [_bitset(r, len(constraints)) for r in rows]
         groups = []
-        for i in sorted(support):
+        for i in range(self.num):
+            if not rows[i]:
+                continue
             vm = item_masks[i]
             for g in groups:
                 if g[0] & vm == 0:
@@ -143,167 +164,219 @@ class _HitSolver:
                     break
             else:
                 groups.append([vm, 1 << i, 1])
-        self.groups = [(g[1], g[2]) for g in groups if g[2] > level]
+        self.groups = [g[1] for g in groups if g[2] > level]
 
-    def _lower_bound(self, deleted, protected, live):
-        """Deletions still required, or None when provably infeasible.
+    def _bound_cuts(self, deleted, protected, unhit, room):
+        """True when every completion deletes at least `room` more items.
 
-        Two relaxations, best taken: per disjoint bundle, survivors beyond
-        `level` must go; and pairwise item-disjoint unhit constraints each
-        need their own deletion.
+        Two relaxations: pairwise item-disjoint unhit constraints (first fit
+        in index order) each need their own deletion; and per disjoint
+        bundle, survivors beyond `level` must go.  Also true when a bundle
+        has too few unprotected survivors, i.e. no completion exists.
         """
-        lb = 0
-        for gmask, _ in self.groups:
-            rem = (gmask & ~deleted).bit_count()
-            need = rem - self.level
-            if need > 0:
-                if (gmask & ~deleted & ~protected).bit_count() < need:
-                    return None
-                lb += need
-        used = 0
+        hits, cons = self.hits, self.cons
         pack = 0
-        for cm in live:
-            if cm & used == 0:
-                used |= cm
-                pack += 1
-        return max(lb, pack)
+        while unhit:
+            pack += 1
+            if pack >= room:
+                return True
+            for j in cons[(unhit & -unhit).bit_length() - 1]:
+                unhit &= ~hits[j]
+        alive = ~deleted
+        free = alive & ~protected
+        lb = 0
+        for gmask in self.groups:
+            need = (gmask & alive).bit_count() - self.level
+            if need > 0:
+                lb += need
+                if lb >= room or (gmask & free).bit_count() < need:
+                    return True
+        return False
 
-    def minimize(self, keep_sets=(), seeds=(), node_cap=NODE_CAP):
+    def minimize(
+        self, keep_sets=(), seeds=(), node_cap=NODE_CAP, incumbent=None
+    ):
         """Best (size, deleted_mask) hitting all constraints, or None.
 
         A solution may not contain any keep_set entirely (those edges would
-        all be gone).  Seeds are known-feasible deletion masks used as the
-        initial incumbent.
+        all be gone), and must delete fewer than `incumbent` items (default:
+        any number).  Seeds are candidate deletion masks; the first smallest
+        feasible one below the incumbent starts the search.  Ties go to the
+        first solution found, and `nodes` is left on the solver.
         """
-        best_size = self.num + 1
+        level = self.level
+        hits, cons = self.hits, self.cons
+        best_size = self.num + 1 if incumbent is None else incumbent
         best_mask = None
-        for seed in seeds:
-            if any(ks & ~seed == 0 for ks in keep_sets):
-                continue
-            size = seed.bit_count()
-            if size < best_size:
-                best_size = size
-                best_mask = seed
-        nodes = 0
-
-        def rec(unhit, deleted, protected, count):
-            nonlocal best_size, best_mask, nodes
-            nodes += 1
-            if nodes > node_cap:
-                raise ExplosionError("hitting-set search exceeded node cap")
-            while True:
-                if any(ks & ~deleted == 0 for ks in keep_sets):
-                    return
-                if count >= best_size:
-                    return
-                live = []
-                forced = 0
-                branch_avail = None
-                branch_pc = 0
-                for cm in unhit:
-                    if cm & deleted:
-                        continue
-                    avail = cm & ~protected
-                    pc = avail.bit_count()
-                    if pc == 0:
-                        return
-                    if pc == 1:
-                        forced |= avail
-                        continue
-                    live.append(cm)
-                    if branch_avail is None or pc < branch_pc:
-                        branch_avail = avail
-                        branch_pc = pc
-                if forced:
-                    count += (forced & ~deleted).bit_count()
-                    deleted |= forced
-                    unhit = live
-                    continue
+        for seed in sorted(seeds, key=int.bit_count):
+            if seed.bit_count() >= best_size:
                 break
-            if not live:
-                if count < best_size:
-                    best_size = count
-                    best_mask = deleted
-                return
-            lb = self._lower_bound(deleted, protected, live)
-            if lb is None or count + lb >= best_size:
-                return
-            prot = 0
-            rest = branch_avail
+            if all(ks & ~seed for ks in keep_sets):
+                best_size, best_mask = seed.bit_count(), seed
+                break
+        self.nodes = 1
+        if not all(keep_sets):
+            return None
+        keeps_of = [[] for _ in range(self.num)]
+        for ks in keep_sets:
+            rest = ks
             while rest:
                 low = rest & -rest
                 rest ^= low
-                rec(live, deleted | low, protected | prot, count + 1)
-                prot |= low
-                if count + 1 >= best_size:
-                    break
+                keeps_of[low.bit_length() - 1].append(ks)
+        min_keep = min(map(int.bit_count, keep_sets), default=self.num + 1)
 
-        rec(self.cons, 0, 0, 0)
+        # a node is (unhit, buckets, deleted, protected, count, fresh): fresh
+        # lists the items deleted on entering it; a frame on the stack is
+        # [unhit, buckets, deleted, protected, count, branch items, next]
+        node = (self.all, [self.all] + [0] * (level + 1), 0, 0, 0, ())
+        stack = []
+        while True:
+            if node is not None:
+                unhit, buckets, deleted, protected, count, fresh = node
+                node = None
+                while True:
+                    # a keep-set can only be gone once `count` reaches its
+                    # size, and only one holding a fresh item can be gone now
+                    if count >= min_keep and 0 in map(
+                        (~deleted).__and__,
+                        keeps_of[fresh[0]] if len(fresh) == 1 else keep_sets,
+                    ):
+                        break
+                    if count >= best_size or unhit & buckets[level + 1]:
+                        break
+                    forced = unhit & buckets[level]
+                    if forced:
+                        fresh = []
+                        while forced:
+                            for j in cons[(forced & -forced).bit_length() - 1]:
+                                if not protected >> j & 1:
+                                    break
+                            fresh.append(j)
+                            deleted |= 1 << j
+                            unhit &= ~hits[j]
+                            forced &= ~hits[j]
+                        count += len(fresh)
+                        continue
+                    if not unhit:
+                        best_size, best_mask = count, deleted
+                        break
+                    if self._bound_cuts(
+                        deleted, protected, unhit, best_size - count
+                    ):
+                        break
+                    for t in range(level - 1, -1, -1):
+                        cand = unhit & buckets[t]
+                        if cand:
+                            break
+                    first = cons[(cand & -cand).bit_length() - 1]
+                    items = [j for j in first if not protected >> j & 1]
+                    stack.append(
+                        [unhit, buckets, deleted, protected, count, items, 0]
+                    )
+                    break
+            if not stack:
+                break
+            frame = stack[-1]
+            unhit, buckets, deleted, protected, count, items, pos = frame
+            if pos == len(items) or pos and count + 1 >= best_size:
+                stack.pop()
+                continue
+            if pos:
+                # protect the previous branch item, on the frame's own copy
+                # of the buckets (the first child shared the parent's)
+                j = items[pos - 1]
+                if pos == 1:
+                    buckets = frame[1] = list(buckets)
+                moved = hits[j] & unhit
+                for t in range(level, -1, -1):
+                    up = buckets[t] & moved
+                    if up:
+                        buckets[t] ^= up
+                        buckets[t + 1] |= up
+                protected = frame[3] = protected | 1 << j
+            j = items[pos]
+            frame[6] = pos + 1
+            node = (
+                unhit & ~hits[j], buckets, deleted | 1 << j, protected,
+                count + 1, (j,),
+            )
+            self.nodes += 1
+            if self.nodes > node_cap:
+                raise ExplosionError("hitting-set search exceeded node cap")
         if best_mask is None:
             return None
         return best_size, best_mask
 
 
-def _greedy_hitting(cons, num, tiebreak=None):
+def _greedy_hitting(solver, tiebreak=None):
     """A feasible deletion mask: repeatedly hit the most unhit constraints."""
+    num, hits = solver.num, solver.hits
     deleted = 0
-    unhit = list(cons)
+    unhit = solver.all
     while unhit:
-        counts = [0] * num
-        for cm in unhit:
-            rest = cm
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                counts[low.bit_length() - 1] += 1
+        counts = [(h & unhit).bit_count() for h in hits]
         if tiebreak is None:
             pick = max(range(num), key=lambda i: (counts[i], -i))
         else:
             pick = max(range(num), key=lambda i: (counts[i],) + tiebreak(i))
-        bit = 1 << pick
-        deleted |= bit
-        unhit = [cm for cm in unhit if cm & bit == 0]
+        deleted |= 1 << pick
+        unhit &= ~hits[pick]
     return deleted
 
 
-def _star_seeds(host, level):
+def _through(host):
+    """through[v]: the bitset of host edges containing vertex v."""
+    rows = [[] for _ in range(host.n + 1)]
+    for i, e in enumerate(host.edges):
+        for v in e:
+            rows[v].append(i)
+    return [_bitset(r, len(host)) for r in rows]
+
+
+def _keep_sets(host, through, m):
+    """For each m-set T, in lex order: the mask of host edges avoiding T."""
+    full = (1 << len(host)) - 1
+    out = []
+    for t_set in itertools.combinations(range(1, host.n + 1), m):
+        meet = 0
+        for v in t_set:
+            meet |= through[v]
+        out.append(full & ~meet)
+    return out
+
+
+def _star_seeds(host, through, level):
     """Deletion masks keeping only the edges that meet a level-set T.
 
-    Each residual family has tau <= level, the extremal shape at p=1.
+    Each residual family has tau <= level, the extremal shape at p=1.  The
+    deleted edges are those avoiding T, i.e. the keep-set of T.
     """
-    masks = host.masks
-    full = (1 << len(masks)) - 1
-    seeds = []
-    if comb(host.n, level) <= _STRUCT_SEED_CAP:
-        for t_set in itertools.combinations(range(1, host.n + 1), level):
-            tm = _edge_mask(t_set)
-            keep = 0
-            for i, em in enumerate(masks):
-                if em & tm:
-                    keep |= 1 << i
-            seeds.append(full & ~keep)
-    return seeds
+    if comb(host.n, level) > _STRUCT_SEED_CAP:
+        return []
+    return _keep_sets(host, through, level)
 
 
-def _window_seeds(host, level):
+def _window_seeds(host, through, level):
     """Deletion masks keeping only the edges inside a (k(level+1)-1)-set W.
 
     No residual family has room for level+1 disjoint edges; the other
-    extremal shape at p=1.
+    extremal shape at p=1.  The deleted edges are those through a vertex
+    outside W; the windows are taken in lex order.
     """
-    n, k = host.n, host.k
-    masks = host.masks
-    full = (1 << len(masks)) - 1
+    n = host.n
+    w_size = host.k * (level + 1) - 1
+    if not 0 <= w_size <= n or comb(n, w_size) > _STRUCT_SEED_CAP:
+        return []
     seeds = []
-    w_size = k * (level + 1) - 1
-    if 0 <= w_size <= n and comb(n, w_size) <= _STRUCT_SEED_CAP:
-        for w_set in itertools.combinations(range(1, n + 1), w_size):
-            wm = _edge_mask(w_set)
-            keep = 0
-            for i, em in enumerate(masks):
-                if em & ~wm == 0:
-                    keep |= 1 << i
-            seeds.append(full & ~keep)
+    # the complements of the lex-ordered windows are the (n - w_size)-sets
+    # in reverse lex order
+    outs = list(itertools.combinations(range(1, n + 1), n - w_size))
+    for out in reversed(outs):
+        deleted = 0
+        for v in out:
+            deleted |= through[v]
+        seeds.append(deleted)
     return seeds
 
 
@@ -370,60 +443,48 @@ def max_family_nu_le(host, s, matching_cap=MATCHING_CAP, force_generic=False):
         return len(host), host
     solver = _HitSolver(host.masks, cons_idx, s)
     edges = host.edges
+    through = _through(host)
     seeds = [
-        _greedy_hitting(solver.cons, solver.num),
-        _greedy_hitting(
-            solver.cons, solver.num, tiebreak=lambda i: (edges[i][-1], -i)
-        ),
+        _greedy_hitting(solver),
+        _greedy_hitting(solver, tiebreak=lambda i: (edges[i][-1], -i)),
     ]
-    seeds.extend(_star_seeds(host, s))
-    seeds.extend(_window_seeds(host, s))
+    seeds.extend(_star_seeds(host, through, s))
+    seeds.extend(_window_seeds(host, through, s))
     opt, mask = solver.minimize(seeds=seeds)
     return len(host) - opt, _family_from_kept(host, mask)
 
 
-def _keep_sets(host, m):
-    """For each m-set T: the mask of host edges avoiding T entirely."""
-    out = []
-    for t_set in itertools.combinations(range(1, host.n + 1), m):
-        tm = _edge_mask(t_set)
-        ks = 0
-        for i, em in enumerate(host.masks):
-            if em & tm == 0:
-                ks |= 1 << i
-        out.append(ks)
-    return out
-
-
 def _max_nontrivial(host, s, matching_cap, force_generic=False):
-    """Exact largest non-trivial subfamily with nu <= s, or (None, None)."""
+    """Exact largest non-trivial subfamily with nu <= s, or (None, None).
+
+    Levels run from s down to 1.  Each starts with the best size so far as
+    its incumbent and takes over the witness when it reaches at least that
+    size, so ties go to the lower level.
+    """
     if host.k == 2 and s == 1 and not force_generic:
         # a non-trivial intersecting graph is a triangle
         tri = _k2_first_triangle(host)
         return (None, None) if tri is None else (3, tri)
+    through = _through(host)
     best = None
     witness = None
-    for m in range(1, s + 1):
+    for m in range(s, 0, -1):
         cons_idx = _enum_matching_indices(host, m + 1, matching_cap)
-        solver = _HitSolver(host.masks, cons_idx, m)
-        keeps = _keep_sets(host, m)
-        if any(ks == 0 for ks in keeps):
+        keeps = _keep_sets(host, through, m)
+        if not all(keeps):
             continue
+        solver = _HitSolver(host.masks, cons_idx, m)
         # a star seed deletes exactly the edges avoiding its T, a keep-set
         # (keeps[T]), so only window seeds can be feasible here
-        seeds = [
-            cand
-            for cand in _window_seeds(host, m)
-            if all(ks & ~cand for ks in keeps)
-        ]
-        r = solver.minimize(keep_sets=keeps, seeds=seeds)
+        r = solver.minimize(
+            keep_sets=keeps,
+            seeds=_window_seeds(host, through, m),
+            incumbent=len(host) + 1 if best is None else len(host) - best + 1,
+        )
         if r is None:
             continue
-        opt, mask = r
-        size = len(host) - opt
-        if best is None or size > best:
-            best = size
-            witness = _family_from_kept(host, mask)
+        best = len(host) - r[0]
+        witness = _family_from_kept(host, r[1])
     return best, witness
 
 

@@ -1,9 +1,11 @@
 import itertools
+import sys
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from matchlab import oracle
 from matchlab.errors import ExplosionError, RangeError
 from matchlab.families import (
     Family,
@@ -18,6 +20,7 @@ from matchlab.oracle import (
     extremal_verdict,
     max_family_nu_le,
 )
+from matchlab.sampling import SampleSpec, sample_family
 
 from oracles import (
     brute_matchings,
@@ -243,3 +246,138 @@ class TestVerdict:
             assert v.opt_family == v.nontrivial_witness
         else:
             assert v.opt_family == fam.filter(meet=v.best_trivial_set)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+class TestSearch:
+    def test_depth_not_bounded_by_recursion_limit(self):
+        # a perfect matching has no non-trivial intersecting subfamily; the
+        # first path of the level-1 search deletes one edge per node, 59
+        # deep, before a keep-set runs out, while the limit leaves 40 frames
+        host = Family(120, 2, [(2 * i + 1, 2 * i + 2) for i in range(60)])
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 40)
+        try:
+            v = extremal_verdict(host, 1, force_generic=True)
+        finally:
+            sys.setrecursionlimit(old)
+        assert v.max_nontrivial_size is None
+        assert v.opt_size == 1
+
+    def test_lower_level_cut_at_root(self, monkeypatch):
+        solvers = []
+
+        class Recording(oracle._HitSolver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                solvers.append(self)
+
+        monkeypatch.setattr(oracle, "_HitSolver", Recording)
+        host = sample_family(SampleSpec(n=11, k=3, p=0.2, seed=0))
+        v = extremal_verdict(host, 2)
+        nodes = {sv.level: sv.nodes for sv in solvers}
+        # level 2 reaches 22 edges, so level 1 starts with incumbent 22 and
+        # its root bound proves it cannot (its own optimum is 11)
+        assert v.max_nontrivial_size == 22
+        assert matching_number(v.nontrivial_witness)[0] == 2
+        assert nodes[2] > 1
+        assert nodes[1] == 1
+        assert extremal_verdict(host, 1).max_nontrivial_size == 11
+
+    @given(small_family(max_n=7, max_edges=10), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_witness_matches_bottom_up_levels(self, fam, s):
+        """Levels s..1 with a shared incumbent give the witness of levels
+        1..s each solved alone, where a later level wins only when larger."""
+        best = witness = None
+        through = oracle._through(fam)
+        for m in range(1, s + 1):
+            cons = oracle._enum_matching_indices(
+                fam, m + 1, oracle.MATCHING_CAP
+            )
+            keeps = oracle._keep_sets(fam, through, m)
+            if not all(keeps):
+                continue
+            r = oracle._HitSolver(fam.masks, cons, m).minimize(
+                keep_sets=keeps, seeds=oracle._window_seeds(fam, through, m)
+            )
+            if r is not None and (best is None or len(fam) - r[0] > best):
+                best = len(fam) - r[0]
+                witness = oracle._family_from_kept(fam, r[1])
+        got = oracle._max_nontrivial(
+            fam, s, oracle.MATCHING_CAP, force_generic=True
+        )
+        assert got == (best, witness)
+
+
+def _milp_level_max(host, m, nontrivial):
+    """Largest subfamily with nu <= m by HiGHS, or None when infeasible.
+
+    x_i in {0, 1}; every (m+1)-matching has sum <= m; when `nontrivial`,
+    every m-set T keeps an edge avoiding it (sum >= 1).
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    index = {e: i for i, e in enumerate(host.edges)}
+    rows, lo, hi = [], [], []
+    for mt in enumerate_matchings(host, m + 1):
+        rows.append([index[e] for e in mt.edges])
+        lo.append(-float("inf"))
+        hi.append(m)
+    if nontrivial:
+        for t_set in itertools.combinations(range(1, host.n + 1), m):
+            rows.append(
+                [
+                    i
+                    for i, e in enumerate(host.edges)
+                    if set(e).isdisjoint(t_set)
+                ]
+            )
+            lo.append(1)
+            hi.append(float("inf"))
+    num = len(host)
+    if not rows:
+        return num
+    ptr = list(itertools.accumulate((len(r) for r in rows), initial=0))
+    a = sparse.csr_array(
+        ([1.0] * ptr[-1], [i for r in rows for i in r], ptr),
+        shape=(len(rows), num),
+    )
+    res = optimize.milp(
+        [-1.0] * num,
+        constraints=optimize.LinearConstraint(a, lo, hi),
+        integrality=[1] * num,
+        bounds=optimize.Bounds(0, 1),
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return round(-res.fun)
+
+
+class TestAgainstHiGHS:
+    @pytest.mark.parametrize(
+        "n, k, s, p, trial",
+        [
+            (11, 3, 2, 0.2, 1),
+            (11, 3, 2, 0.3, 0),
+            (11, 3, 2, 0.3, 5),
+            (10, 3, 1, 0.35, 3),
+            (9, 2, 3, 0.5, 3),
+        ],
+    )
+    def test_verdict_and_nu_le_match_milp(self, n, k, s, p, trial):
+        spec = SampleSpec(n=n, k=k, p=p, seed=0, trial_index=trial)
+        host = sample_family(spec)
+        assert 27 <= len(host) <= 54
+        levels = [_milp_level_max(host, m, True) for m in range(1, s + 1)]
+        want = max((x for x in levels if x is not None), default=None)
+        assert extremal_verdict(host, s).max_nontrivial_size == want
+        assert max_family_nu_le(host, s)[0] == _milp_level_max(host, s, False)
