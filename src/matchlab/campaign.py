@@ -567,7 +567,7 @@ _SUMMARY_FIELDS = (
 
 
 def _env_threads():
-    raw = os.environ.get("MATCHLAB_THREADS", "4")
+    raw = os.environ.get("MATCHLAB_THREADS", "1")
     try:
         return int(raw)
     except ValueError:

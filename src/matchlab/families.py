@@ -3,7 +3,10 @@
 Vertices are 1-based integers.  Edges are stored canonically: sorted within
 each edge, edges sorted lexicographically, duplicates removed.  Every edge
 also carries a bit mask (bit v-1 set for vertex v) so disjointness and
-incidence tests are single integer operations.
+incidence tests are single integer operations.  Transposed, the family
+also keeps a vertex -> edge index (`Family.through`, bit i set for edge i):
+the exact nu <= 3 scan and the bounded cover search run on those edge
+bitsets, one big-int operation per set of edges.
 
 Conventions for degenerate inputs: the empty family has matching number 0
 and covering number 0 and counts as trivial.  A 0-uniform family (which can
@@ -64,8 +67,9 @@ class Family:
 
     The edges are held in whichever form the family was built from: the
     canonical (m, k) int64 vertex array (`vertex_array()`, as the sampler
-    makes it) or the tuple of edge tuples (`edges`).  The other form and
-    the int masks (`masks`) are derived on first use and cached.
+    makes it) or the tuple of edge tuples (`edges`).  The other form, the
+    int masks (`masks`) and the vertex -> edge index (`through`) are
+    derived on first use and cached.
     """
 
     __slots__ = (
@@ -75,7 +79,7 @@ class Family:
         "_edges",
         "_masks",
         "_np_masks",
-        "_mask_index",
+        "_through",
         "_nu",
     )
 
@@ -120,7 +124,7 @@ class Family:
     def _set(self, n, k, array, edges, masks):
         for name, value in (
             ("n", n), ("k", k), ("_array", array), ("_edges", edges),
-            ("_masks", masks), ("_np_masks", None), ("_mask_index", None),
+            ("_masks", masks), ("_np_masks", None), ("_through", None),
             ("_nu", None),
         ):
             object.__setattr__(self, name, value)
@@ -197,13 +201,23 @@ class Family:
             object.__setattr__(self, "_np_masks", arr)
         return self._np_masks
 
-    def mask_index(self):
-        """Dict mapping edge mask -> edge index (edges are deduplicated)."""
-        if self._mask_index is None:
-            object.__setattr__(
-                self, "_mask_index", {m: i for i, m in enumerate(self.masks)}
-            )
-        return self._mask_index
+    @property
+    def through(self):
+        """through[v]: the int bitset of the edges containing v (bit i for
+        edge i), for v = 0..n; through[0] is 0.
+
+        Built from one (n+1, m) boolean incidence, packed a row at a time.
+        """
+        if self._through is None:
+            arr = self.vertex_array()
+            m = len(arr)
+            inc = np.zeros((self.n + 1, m), dtype=bool)
+            inc[arr, np.arange(m)[:, None]] = True
+            rows = np.packbits(inc, axis=1, bitorder="little")
+            object.__setattr__(self, "_through", tuple(
+                int.from_bytes(r.tobytes(), "little") for r in rows
+            ))
+        return self._through
 
     def degree(self, v):
         return int(np.count_nonzero(self.vertex_array() == v))
@@ -425,54 +439,45 @@ def _solve_matching(fam):
 def _matching_small_cap(fam, cap, best_size, best_idxs):
     """Exact nu when at most 3 disjoint edges fit in the vertex range.
 
-    Enumerates disjoint index pairs (i, j) in lex order; a third edge must
-    live inside the complement of their union, so when that complement has
-    exactly k vertices a single hash lookup decides the branch.
+    One scan over disjoint index pairs (i, j) in lex order, on the bitsets
+    disj[i] of the edges disjoint from edge i.  The first pair is the
+    witness for nu = 2; the first pair with a common disjoint edge above j
+    gives nu = 3 with that edge's lowest index, since at the first such
+    pair every third edge lies above j.  disj[j] is built when the scan
+    first reaches j and dropped once row j is scanned, as no later row
+    needs it.
     """
-    edges, masks = fam.edges, fam.masks
-    m = len(edges)
-    n, k = fam.n, fam.k
-    np_masks = fam.np_masks()
-    full = (1 << n) - 1
-    index = fam.mask_index()
-    pair = None
-    avail_size = n - 2 * k
+    edges, through = fam.edges, fam.through
+    full = (1 << len(edges)) - 1
+    disj = [None] * len(edges)
 
-    for i in range(m):
-        if np_masks is not None and m - i - 1 >= _NP_FILTER_MIN:
-            rest = np_masks[i + 1 :] & np.uint64(masks[i])
-            di = np.flatnonzero(rest == 0) + (i + 1)
-        else:
-            di = [j for j in range(i + 1, m) if masks[j] & masks[i] == 0]
-        if len(di) and pair is None:
-            pair = [i, int(di[0])]
+    def disjoint_from(i):
+        hit = 0
+        for v in edges[i]:
+            hit |= through[v]
+        return full & ~hit
+
+    pair = None
+    for i in range(len(edges)):
+        d = disj[i]
+        disj[i] = None
+        above = (disjoint_from(i) if d is None else d) >> (i + 1) << (i + 1)
+        if not above:
+            continue
+        if pair is None:
+            pair = [i, (above & -above).bit_length() - 1]
             if cap == 2:
                 return 2, pair
-        if cap < 3:
-            continue
-        if avail_size == k:
-            mi = masks[i]
-            for j in di:
-                third = full & ~(mi | masks[j])
-                t = index.get(third)
-                if t is not None:
-                    return 3, sorted([i, int(j), t])
-        elif avail_size < 2 * k and comb(avail_size, k) <= 4096:
-            mi = masks[i]
-            for j in di:
-                avail = [v for v in range(1, n + 1) if (full & ~(mi | masks[j])) >> (v - 1) & 1]
-                for sub in itertools.combinations(avail, k):
-                    t = index.get(_edge_mask(sub))
-                    if t is not None:
-                        return 3, sorted([i, int(j), t])
-        else:
-            for pos in range(len(di)):
-                j = int(di[pos])
-                mij = masks[i] | masks[j]
-                tail = di[pos + 1 :]
-                hits = _filter_disjoint(tail, mij, masks, np_masks)
-                if len(hits):
-                    return 3, sorted([i, j, int(hits[0])])
+        while above:
+            low = above & -above
+            above ^= low
+            j = low.bit_length() - 1
+            d = disj[j]
+            if d is None:
+                d = disj[j] = disjoint_from(j)
+            third = above & d
+            if third:
+                return 3, [i, j, (third & -third).bit_length() - 1]
     if pair is not None:
         return 2, pair
     return best_size, best_idxs
@@ -481,41 +486,28 @@ def _matching_small_cap(fam, cap, best_size, best_idxs):
 def _bounded_cover(fam, limit, deg):
     """A cover of size <= limit, or None.  Depth-bounded DFS.
 
-    Branches on the first uncovered edge; vertex order inside an edge is by
-    global degree `deg` (descending, from `fam.degrees()`), ties to the
-    smaller vertex.
+    The state is the bitset of uncovered edges.  Branches on the first
+    uncovered edge; vertex order inside an edge is by global degree `deg`
+    (descending, from `fam.degrees()`), ties to the smaller vertex.
     """
-    edges, masks = fam.edges, fam.masks
-    m = len(edges)
-    np_masks = fam.np_masks()
-    use_np = np_masks is not None and m >= _NP_FILTER_MIN
+    edges, through = fam.edges, fam.through
 
     def order(e):
         return sorted(e, key=lambda v: (-deg[v], v))
 
-    def first_uncovered(cover_mask, lo):
-        if use_np:
-            unc = (np_masks & np.uint64(cover_mask)) == 0
-            i = int(np.argmax(unc))
-            return i if unc[i] else m
-        i = lo
-        while i < m and masks[i] & cover_mask:
-            i += 1
-        return i
-
-    def rec(cover_mask, depth, lo, acc):
-        i = first_uncovered(cover_mask, lo)
-        if i == m:
+    def rec(unc, depth, acc):
+        if not unc:
             return acc
         if depth == 0:
             return None
+        i = (unc & -unc).bit_length() - 1
         for v in order(edges[i]):
-            r = rec(cover_mask | (1 << (v - 1)), depth - 1, i + 1, acc + (v,))
+            r = rec(unc & ~through[v], depth - 1, acc + (v,))
             if r is not None:
                 return r
         return None
 
-    return rec(0, limit, 0, ())
+    return rec((1 << len(fam)) - 1, limit, ())
 
 
 def covering_number(fam):

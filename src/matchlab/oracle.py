@@ -326,12 +326,9 @@ def _greedy_hitting(solver, tiebreak=None):
 
 
 def _through(host):
-    """through[v]: the bitset of host edges containing vertex v."""
-    rows = [[] for _ in range(host.n + 1)]
-    for i, e in enumerate(host.edges):
-        for v in e:
-            rows[v].append(i)
-    return [_bitset(r, len(host)) for r in rows]
+    """through[v]: the bitset of host edges containing vertex v (the
+    host's cached `Family.through`)."""
+    return host.through
 
 
 def _keep_sets(host, through, m):

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from matchlab import campaign
 from matchlab.campaign import (
     AuditRecord,
     CampaignConfig,
@@ -427,6 +428,15 @@ class TestRunCampaign:
             self.verdict_cfg(tmp_path / "hi", threads=4, trials=4)
         )
         assert strip_timing(lo["jsonl"]) == strip_timing(hi["jsonl"])
+
+    def test_unset_thread_env_runs_serially(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.delenv("MATCHLAB_THREADS", raising=False)
+        monkeypatch.setattr(campaign, "ThreadPoolExecutor", no_pool)
+        summary = run_campaign(self.verdict_cfg(tmp_path / "serial"))
+        assert sum(1 for _ in open(summary["jsonl"])) == 3
 
     def test_non_integer_thread_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MATCHLAB_THREADS", "two")

@@ -247,7 +247,7 @@ def _dense_in_eleven():
 
 
 class TestPairScan:
-    # n = 3k with m >= 256 and n <= 64: the vectorized pair scan decides nu
+    # n = 3k with 1782 edges: the one-pass pair scan on edge bitsets decides nu
 
     def test_no_third_edge(self):
         f = Family(15, 5, _dense_in_eleven())
@@ -481,3 +481,96 @@ class TestIO:
             path = os.path.join(d, "f.txt")
             write_edge_file(f, path)
             assert read_edge_file(path) == f
+
+
+def _planted(n, k, m, t, extra, seed):
+    """m edges each meeting the planted set [t], plus `extra` edges drawn
+    from all of [n]; tau <= t + extra keeps the cover search short."""
+    rng = np.random.default_rng(seed)
+    edges = set()
+    while len(edges) < m:
+        hub = int(rng.integers(1, t + 1))
+        others = [v for v in range(1, n + 1) if v != hub]
+        rest = rng.choice(others, size=k - 1, replace=False).tolist()
+        edges.add(tuple(sorted([hub, *rest])))
+    while len(edges) < m + extra:
+        rest = rng.choice(n, size=k, replace=False) + 1
+        edges.add(tuple(sorted(rest.tolist())))
+    return Family(n, k, edges)
+
+
+def _milp_optimum(rows, num, cover):
+    """max sum x (every row sums to <= 1) or, with `cover`, min sum x
+    (every row sums to >= 1), over x in {0, 1}^num, by HiGHS."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    ptr = list(itertools.accumulate((len(r) for r in rows), initial=0))
+    a = sparse.csr_array(
+        ([1.0] * ptr[-1], [i for r in rows for i in r], ptr),
+        shape=(len(rows), num),
+    )
+    bounds = (1, float("inf")) if cover else (-float("inf"), 1)
+    res = optimize.milp(
+        [1.0 if cover else -1.0] * num,
+        constraints=optimize.LinearConstraint(a, *bounds),
+        integrality=[1] * num,
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert res.status == 0, res.message
+    return round(abs(res.fun))
+
+
+def _lex_first_witness(fam):
+    """The first disjoint triple (i, j, t) in lex order, else the first
+    disjoint pair, else None: edge indices by plain set intersection."""
+    sets = [set(e) for e in fam.edges]
+    later = [
+        [j for j in range(i + 1, len(sets)) if not sets[i] & sets[j]]
+        for i in range(len(sets))
+    ]
+    pair = None
+    for i, js in enumerate(later):
+        partners = set(js)
+        for j in js:
+            pair = pair or (i, j)
+            third = [t for t in later[j] if t in partners]
+            if third:
+                return i, j, third[0]
+    return pair
+
+
+class TestAgainstHiGHS:
+    # cap = n // k <= 3 with hundreds of edges, past the brute-force oracles
+    @pytest.mark.parametrize(
+        "n, k, m, t, extra, seed",
+        [
+            (15, 5, 300, 2, 0, 1),  # n = 3k: nu 2, tau 2
+            (15, 5, 300, 3, 1, 2),  # nu 3, tau 4
+            (20, 6, 400, 2, 0, 1),  # 3k < n < 4k, small complement
+            (20, 6, 400, 3, 3, 1),  # nu 3 past a greedy 2, tau 4
+            (38, 10, 500, 2, 1, 2),  # C(18, 10) k-sets in a complement
+            (38, 10, 500, 3, 1, 1),
+            (67, 22, 200, 3, 1, 2),  # n > 64: nu 2, tau 4
+            (70, 22, 300, 2, 1, 1),  # nu 1, tau 2
+        ],
+    )
+    def test_nu_and_tau_match_milp(self, n, k, m, t, extra, seed):
+        f = _planted(n, k, m, t, extra, seed)
+        assert n // k <= 3 and 200 <= len(f) <= 600
+        index = range(len(f))
+        by_vertex = [
+            [i for i in index if v in f.edges[i]] for v in range(1, n + 1)
+        ]
+        nu, witness = matching_number(f)
+        tau, cover = covering_number(f)
+        assert nu == _milp_optimum(by_vertex, len(f), cover=False)
+        assert tau == _milp_optimum(
+            [[v - 1 for v in e] for e in f.edges], n, cover=True
+        )
+        check_matching(f, witness)
+        check_cover(f, cover)
+        assert is_trivial(f) == (nu == tau)
+        want = _lex_first_witness(f)
+        assert (want is None) == (nu == 1)
+        if want is not None:
+            assert witness.edges == tuple(f.edges[i] for i in want)
