@@ -7,7 +7,10 @@ in any order, on any worker.  Kept edges are found by geometric gap skipping
 over lexicographic edge ranks: cost is proportional to the output, not to
 C(n, k).  Geometric gaps are derived from uniform doubles by explicit CDF
 inversion so the stream consumption is fixed by this module, not by library
-internals.
+internals.  The kept ranks come out sorted, and the unranking relies on it:
+the first vertex of every edge is read off one search of the n+1 slot-0
+boundaries and the last vertex is arithmetic, so only the middle slots of
+k >= 3 search per edge.
 """
 
 from __future__ import annotations
@@ -97,25 +100,52 @@ def unrank_subset(r, n, k):
 
 
 def _unrank_batch(ranks, n, k):
-    """Vectorized unranking; returns an (m, k) int64 array of vertices.
+    """Vectorized unranking of nondecreasing ranks; returns an (m, k) int64
+    array of vertices, row i the subset of lexicographic rank ranks[i].
 
-    For slot j (0-based), S_j[v] = sum_{u<=v} C(n-u, k-j-1) is precomputed;
-    the chosen vertex is the first v with S_j[v] > rank + S_j[prev].
+    For slot j (0-based), S_j[v] = sum_{u<=v} C(n-u, k-j-1); the chosen
+    vertex is the first v with S_j[v] > rem + S_j[prev], where prev is the
+    vertex of slot j-1 (0 for slot 0) and rem what is left of the rank.
+    The slots come in three kinds:
+
+    - slot 0 (boundary search): the ranks are sorted, so one searchsorted of
+      the n+1 boundaries S_0 into them counts the ranks per first vertex,
+      and np.repeat of those counts gives every row its vertex and offset;
+    - middle slots 1..k-2 (per-row search): prev differs per row, so each
+      row is searched in S_j on its own;
+    - the last slot (arithmetic): every weight C(n-u, 0) is 1, so the
+      vertex is rem + prev + 1.
+
     Cumulative sums stay below C(n, k) < 2^63 so int64 arithmetic is exact.
     """
-    m = len(ranks)
-    out = np.empty((m, k), dtype=np.int64)
-    rem = np.asarray(ranks, dtype=np.int64)
-    prev = np.zeros(m, dtype=np.int64)
-    for j in range(k):
-        weights = [0] + [comb(n - u, k - j - 1) for u in range(1, n + 1)]
-        s = np.cumsum(np.array(weights, dtype=np.int64))
+    ranks = np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(ranks), k), dtype=np.int64)
+    rem, prev = ranks, 0
+    if k > 1:
+        s = _slot_sums(n, k - 1)
+        counts = np.diff(np.searchsorted(ranks, s))
+        prev = np.repeat(np.arange(1, n + 1, dtype=np.int64), counts)
+        rem = np.repeat(s[:-1], counts)
+        np.subtract(ranks, rem, out=rem)
+        out[:, 0] = prev
+    for j in range(1, k - 1):
+        s = _slot_sums(n, k - j - 1)
         g = rem + s[prev]
-        v = np.searchsorted(s, g, side="right")
-        rem = g - s[v - 1]
-        out[:, j] = v
-        prev = v
+        prev = np.searchsorted(s, g, side="right")
+        rem = g - s[prev - 1]
+        out[:, j] = prev
+    # in place: no temporaries of m rows (about 300k at k=2)
+    last = out[:, k - 1]
+    np.add(rem, prev, out=last)
+    last += 1
     return out
+
+
+def _slot_sums(n, r):
+    """S[v] = sum_{u<=v} C(n-u, r) for v = 0..n, as int64."""
+    return np.cumsum(
+        np.array([0] + [comb(n - u, r) for u in range(1, n + 1)], dtype=np.int64)
+    )
 
 
 def _geometric_ranks(universe, p, gen):

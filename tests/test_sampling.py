@@ -129,20 +129,34 @@ class TestSampling:
 
     # SHA-256 of vertex_array().tobytes() and the edge count, per spec
     GOLDEN = [
-        ((1000, 2, 0.6, 3, 0), 299740, "2f909cc6efd276f824576eb4cbaf598d405ed91800412f81094decb2b7834dfd"),
-        ((1000, 2, 0.6, 2024, 5), 299294, "06fd09b48518b69c8bb81af80209d41da7a7c7efcccd62481bcb7abb66eb73b3"),
-        ((60, 3, 0.3, 3, 0), 10393, "c0365f885a26f091f97b3c9a35869429d1ac8eea468594aa5284faa012b00d31"),
-        ((60, 3, 0.3, 2024, 5), 10235, "6939f318cec65aacb9454c862731cfefdf79780141951d7b8b243c01a4e65aab"),
-        ((30, 10, 8.7e-05, 3, 0), 2661, "f1ee1e5ebb2096f06f5196ce964688b8019fb22affac0037cd410918a4d31323"),
-        ((30, 10, 8.7e-05, 2024, 5), 2630, "5622442407a837e84491902d5a46d4faeca59505572522f389d8e7ec177c2d77"),
-        ((11, 3, 0.2, 3, 0), 27, "7f9150632338a082d3e0cb87e4827e3e8ca34498aa53add9f1bb32ea343c1b20"),
-        ((11, 3, 0.2, 2024, 5), 26, "c80d7fb5b5b6ad1f414a9e92d95f5410d8d109bf7d038dad23a0164528542681"),
-        ((200, 2, 0.005, 3, 0), 92, "cd25f049bd99f54359b7bf0923b6bf87e2ff4f4d4d8c4b8c4e2d12925d825f00"),
-        ((200, 2, 0.005, 2024, 5), 90, "81aa036ae8600b83b446ec23a9cfa8cba111b523fd0756e9173e2fd2cc4b3f10"),
-        ((7, 1, 0.5, 3, 0), 3, "3624a254c5ee8cf1553e2215003df032bed2e3b25b2c2f012e083e031dca7bbf"),
-        ((7, 1, 0.5, 2024, 5), 3, "7f9ff4be5a96c18ac86fe372e23cf2a3263bfe0fd92c0187eece3b374ad3fb6a"),
-        ((12, 4, 1.0, 1, 0), 495, "0cd97890264766a292549db0cd24f9f6f0d7092f10a9707ff7bb3c704e701dc3"),
-        ((12, 4, 0.0, 1, 0), 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ((1000, 2, 0.6, 3, 0), 299740,
+         "2f909cc6efd276f824576eb4cbaf598d405ed91800412f81094decb2b7834dfd"),
+        ((1000, 2, 0.6, 2024, 5), 299294,
+         "06fd09b48518b69c8bb81af80209d41da7a7c7efcccd62481bcb7abb66eb73b3"),
+        ((60, 3, 0.3, 3, 0), 10393,
+         "c0365f885a26f091f97b3c9a35869429d1ac8eea468594aa5284faa012b00d31"),
+        ((60, 3, 0.3, 2024, 5), 10235,
+         "6939f318cec65aacb9454c862731cfefdf79780141951d7b8b243c01a4e65aab"),
+        ((30, 10, 8.7e-05, 3, 0), 2661,
+         "f1ee1e5ebb2096f06f5196ce964688b8019fb22affac0037cd410918a4d31323"),
+        ((30, 10, 8.7e-05, 2024, 5), 2630,
+         "5622442407a837e84491902d5a46d4faeca59505572522f389d8e7ec177c2d77"),
+        ((11, 3, 0.2, 3, 0), 27,
+         "7f9150632338a082d3e0cb87e4827e3e8ca34498aa53add9f1bb32ea343c1b20"),
+        ((11, 3, 0.2, 2024, 5), 26,
+         "c80d7fb5b5b6ad1f414a9e92d95f5410d8d109bf7d038dad23a0164528542681"),
+        ((200, 2, 0.005, 3, 0), 92,
+         "cd25f049bd99f54359b7bf0923b6bf87e2ff4f4d4d8c4b8c4e2d12925d825f00"),
+        ((200, 2, 0.005, 2024, 5), 90,
+         "81aa036ae8600b83b446ec23a9cfa8cba111b523fd0756e9173e2fd2cc4b3f10"),
+        ((7, 1, 0.5, 3, 0), 3,
+         "3624a254c5ee8cf1553e2215003df032bed2e3b25b2c2f012e083e031dca7bbf"),
+        ((7, 1, 0.5, 2024, 5), 3,
+         "7f9ff4be5a96c18ac86fe372e23cf2a3263bfe0fd92c0187eece3b374ad3fb6a"),
+        ((12, 4, 1.0, 1, 0), 495,
+         "0cd97890264766a292549db0cd24f9f6f0d7092f10a9707ff7bb3c704e701dc3"),
+        ((12, 4, 0.0, 1, 0), 0,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ]
 
     @pytest.mark.parametrize(
