@@ -1,12 +1,12 @@
 """k-uniform set families on [n] with exact matching and covering solvers.
 
 Vertices are 1-based integers.  Edges are stored canonically: sorted within
-each edge, edges sorted lexicographically, duplicates removed.  Every edge
-also carries a bit mask (bit v-1 set for vertex v) so disjointness and
-incidence tests are single integer operations.  Transposed, the family
-also keeps a vertex -> edge index (`Family.through`, bit i set for edge i):
-the exact nu <= 3 scan and the bounded cover search run on those edge
-bitsets, one big-int operation per set of edges.
+each edge, edges sorted lexicographically, duplicates removed.  The solvers
+for nu and tau run on one vertex -> edge index (`Family.through`, bit i set
+for edge i): a set of candidate edges is one int, and dropping the edges
+through a vertex is one big-int operation.  Per-edge vertex masks
+(`Family.masks`, bit v-1 set for vertex v) serve the oracle, the cover
+constructions and the sampler's star counts.
 
 Conventions for degenerate inputs: the empty family has matching number 0
 and covering number 0 and counts as trivial.  A 0-uniform family (which can
@@ -24,9 +24,6 @@ import numpy as np
 from .errors import OverlapError, SizeError
 
 MAX_VERTICES = 1024
-
-# candidate lists at least this long use the vectorized disjointness filter
-_NP_FILTER_MIN = 256
 
 
 @dataclass(frozen=True)
@@ -68,8 +65,9 @@ class Family:
     The edges are held in whichever form the family was built from: the
     canonical (m, k) int64 vertex array (`vertex_array()`, as the sampler
     makes it) or the tuple of edge tuples (`edges`).  The other form, the
-    int masks (`masks`) and the vertex -> edge index (`through`) are
-    derived on first use and cached.
+    vertex -> edge index (`through`, read by nu and tau) and the per-edge
+    int masks (`masks`, read by the oracle, the covers and `max_trivial`)
+    are derived on first use and cached.
     """
 
     __slots__ = (
@@ -78,7 +76,6 @@ class Family:
         "_array",
         "_edges",
         "_masks",
-        "_np_masks",
         "_through",
         "_nu",
     )
@@ -124,8 +121,7 @@ class Family:
     def _set(self, n, k, array, edges, masks):
         for name, value in (
             ("n", n), ("k", k), ("_array", array), ("_edges", edges),
-            ("_masks", masks), ("_np_masks", None), ("_through", None),
-            ("_nu", None),
+            ("_masks", masks), ("_through", None), ("_nu", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -149,11 +145,10 @@ class Family:
     def masks(self):
         """Per-edge int masks, bit v-1 set for vertex v."""
         if self._masks is None:
-            if self.n <= 64:
-                masks = tuple(self.np_masks().tolist())
-            else:
-                masks = tuple(_edge_mask(e) for e in self.edges)
-            object.__setattr__(self, "_masks", masks)
+            # from the int64 array, so vertices given as numpy ints shift
+            # as Python ints
+            rows = self.vertex_array().tolist()
+            object.__setattr__(self, "_masks", tuple(map(_edge_mask, rows)))
         return self._masks
 
     def vertex_array(self):
@@ -188,18 +183,6 @@ class Family:
 
     def __repr__(self):
         return f"Family(n={self.n}, k={self.k}, m={len(self)})"
-
-    def np_masks(self):
-        """uint64 mask array for vectorized filters; None when n > 64."""
-        if self.n > 64:
-            return None
-        if self._np_masks is None:
-            bits = np.left_shift(
-                np.uint64(1), (self.vertex_array() - 1).astype(np.uint64)
-            )
-            arr = np.bitwise_or.reduce(bits, axis=1)
-            object.__setattr__(self, "_np_masks", arr)
-        return self._np_masks
 
     @property
     def through(self):
@@ -329,22 +312,22 @@ def generated_contains(members, fam):
     return True
 
 
-def _filter_disjoint(cands, emask, masks, np_masks):
-    """Indices in `cands` whose edge is disjoint from `emask`."""
-    if np_masks is not None and len(cands) >= _NP_FILTER_MIN:
-        arr = np.asarray(cands, dtype=np.int64)
-        keep = (np_masks[arr] & np.uint64(emask)) == 0
-        return arr[keep]
-    return [j for j in cands if masks[j] & emask == 0]
+def _avoiding(c, edge, through):
+    """The edges of the bitset `c` disjoint from `edge`."""
+    hit = 0
+    for v in edge:
+        hit |= through[v]
+    return c & ~hit
 
 
-def _greedy_matching(cands, masks):
+def _greedy_matching(c, edges, through):
+    """The lex greedy matching of the edge bitset `c`: take the lowest edge,
+    drop every candidate meeting it, repeat."""
     picked = []
-    used = 0
-    for i in cands:
-        if masks[i] & used == 0:
-            picked.append(i)
-            used |= masks[i]
+    while c:
+        i = (c & -c).bit_length() - 1
+        picked.append(i)
+        c = _avoiding(c, edges[i], through)
     return picked
 
 
@@ -360,79 +343,71 @@ def matching_number(fam):
 
 
 def _solve_matching(fam):
-    """Branch and bound for `matching_number`.
+    """Branch and bound for `matching_number`, on edge bitsets.
 
-    Branch on the lexicographically smallest vertex still covered by a
-    candidate edge (take each edge through it, or discard the vertex),
-    seeded with a greedy lex matching.  Upper bounds: remaining
-    vertex count over k, and a greedy cover of the candidates.
+    Candidates are one bitset over the edges.  Branch on the lexicographically
+    smallest vertex still covered by a candidate edge (take each edge through
+    it, or discard the vertex), seeded with a greedy lex matching.  Upper
+    bounds: the vertices still covered over k, and a greedy cover of the
+    candidates.  Edges are lex-sorted, so every vertex of a candidate lies
+    at or above the first vertex of the lowest candidate; the bounds count
+    only that range.
     """
-    edges, masks = fam.edges, fam.masks
+    edges, through = fam.edges, fam.through
     m = len(edges)
     if m == 0:
         return 0, Matching(())
     if fam.k == 0:
         return 1, Matching(((),))
-    k = fam.k
-    cap = fam.n // k
-
-    all_idx = list(range(m))
-    greedy = _greedy_matching(all_idx, masks)
-    best = list(greedy)
-    best_size = len(greedy)
+    k, n = fam.k, fam.n
+    cap = n // k
+    best = _greedy_matching((1 << m) - 1, edges, through)
+    best_size = len(best)
     if best_size >= cap or cap == 1:
         return best_size, Matching(tuple(edges[i] for i in best))
 
-    np_masks = fam.np_masks()
     if cap <= 3:
         size, idxs = _matching_small_cap(fam, cap, best_size, best)
         return size, Matching(tuple(edges[i] for i in idxs))
 
-    def cover_bound(cands, stop_at):
-        remaining = list(cands)
-        size = 0
-        while remaining:
-            size += 1
-            if size >= stop_at:
-                return stop_at
-            counts = {}
-            for i in remaining:
-                for v in edges[i]:
-                    counts[v] = counts.get(v, 0) + 1
-            best_v = min(counts, key=lambda v: (-counts[v], v))
-            bit = 1 << (best_v - 1)
-            remaining = [i for i in remaining if not masks[i] & bit]
-        return size
+    def cover_fits(c, verts, counts, room):
+        """True when a greedy cover of the candidates `c` has at most `room`
+        vertices; counts[i] is the number of candidates through verts[i]."""
+        for _ in range(room):
+            if not c:
+                return True
+            # most candidates, ties to the smaller vertex
+            c &= ~through[verts[counts.index(max(counts))]]
+            verts = [u for u, x in zip(verts, counts) if x]
+            counts = [(through[u] & c).bit_count() for u in verts]
+        return not c
 
-    def dfs(cands, cur):
+    def dfs(c, cur):
         nonlocal best, best_size
-        if len(cands) == 0:
+        if not c:
             return
         # greedy completion keeps the incumbent fresh
-        ext = _greedy_matching(cands, masks)
+        ext = _greedy_matching(c, edges, through)
         if len(cur) + len(ext) > best_size:
             best = cur + ext
             best_size = len(best)
-        union = 0
-        for i in cands:
-            union |= masks[i]
-        ub = union.bit_count() // k
-        if len(cur) + ub <= best_size:
+        verts = range(edges[(c & -c).bit_length() - 1][0], n + 1)
+        counts = [(through[u] & c).bit_count() for u in verts]
+        room = best_size - len(cur)
+        if (len(counts) - counts.count(0)) // k <= room:
             return
-        if len(cands) >= 8:
-            ub2 = cover_bound(cands, ub)
-            if len(cur) + ub2 <= best_size:
-                return
-        v = edges[int(cands[0])][0]
-        bit = 1 << (v - 1)
-        with_v = [i for i in cands if masks[i] & bit]
-        for e in with_v:
-            rest = _filter_disjoint(cands, masks[e], masks, np_masks)
-            dfs(rest, cur + [e])
-        without_v = [i for i in cands if not masks[i] & bit]
-        dfs(without_v, cur)
+        if c.bit_count() >= 8 and cover_fits(c, verts, counts, room):
+            return
+        with_v = c & through[verts.start]
+        rest = with_v
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            e = low.bit_length() - 1
+            dfs(_avoiding(c, edges[e], through), cur + [e])
+        dfs(c & ~with_v, cur)
 
-    dfs(all_idx, [])
+    dfs((1 << m) - 1, [])
     return best_size, Matching(tuple(edges[i] for i in sorted(best)))
 
 
@@ -452,10 +427,7 @@ def _matching_small_cap(fam, cap, best_size, best_idxs):
     disj = [None] * len(edges)
 
     def disjoint_from(i):
-        hit = 0
-        for v in edges[i]:
-            hit |= through[v]
-        return full & ~hit
+        return _avoiding(full, edges[i], through)
 
     pair = None
     for i in range(len(edges)):

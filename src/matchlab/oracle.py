@@ -309,30 +309,9 @@ class _HitSolver:
         return best_size, best_mask
 
 
-def _greedy_hitting(solver, tiebreak=None):
-    """A feasible deletion mask: repeatedly hit the most unhit constraints."""
-    num, hits = solver.num, solver.hits
-    deleted = 0
-    unhit = solver.all
-    while unhit:
-        counts = [(h & unhit).bit_count() for h in hits]
-        if tiebreak is None:
-            pick = max(range(num), key=lambda i: (counts[i], -i))
-        else:
-            pick = max(range(num), key=lambda i: (counts[i],) + tiebreak(i))
-        deleted |= 1 << pick
-        unhit &= ~hits[pick]
-    return deleted
-
-
-def _through(host):
-    """through[v]: the bitset of host edges containing vertex v (the
-    host's cached `Family.through`)."""
-    return host.through
-
-
-def _keep_sets(host, through, m):
+def _keep_sets(host, m):
     """For each m-set T, in lex order: the mask of host edges avoiding T."""
+    through = host.through
     full = (1 << len(host)) - 1
     out = []
     for t_set in itertools.combinations(range(1, host.n + 1), m):
@@ -343,18 +322,7 @@ def _keep_sets(host, through, m):
     return out
 
 
-def _star_seeds(host, through, level):
-    """Deletion masks keeping only the edges that meet a level-set T.
-
-    Each residual family has tau <= level, the extremal shape at p=1.  The
-    deleted edges are those avoiding T, i.e. the keep-set of T.
-    """
-    if comb(host.n, level) > _STRUCT_SEED_CAP:
-        return []
-    return _keep_sets(host, through, level)
-
-
-def _window_seeds(host, through, level):
+def _window_seeds(host, level):
     """Deletion masks keeping only the edges inside a (k(level+1)-1)-set W.
 
     No residual family has room for level+1 disjoint edges; the other
@@ -365,6 +333,7 @@ def _window_seeds(host, through, level):
     w_size = host.k * (level + 1) - 1
     if not 0 <= w_size <= n or comb(n, w_size) > _STRUCT_SEED_CAP:
         return []
+    through = host.through
     seeds = []
     # the complements of the lex-ordered windows are the (n - w_size)-sets
     # in reverse lex order
@@ -383,17 +352,12 @@ def _family_from_kept(host, deleted_mask):
     return Family._from_canonical(host.n, host.k, edges, masks)
 
 
-def _k2_adjacency(host):
+def _k2_first_triangle(host):
+    """Lex-first triangle of a graph, as a 3-edge Family, or None."""
     adj = [0] * (host.n + 1)
     for u, v in host.edges:
         adj[u] |= 1 << (v - 1)
         adj[v] |= 1 << (u - 1)
-    return adj
-
-
-def _k2_first_triangle(host):
-    """Lex-first triangle of a graph, as a 3-edge Family, or None."""
-    adj = _k2_adjacency(host)
     for u, v in host.edges:
         common = adj[u] & adj[v]
         if common:
@@ -408,46 +372,33 @@ def _k2_first_triangle(host):
     return None
 
 
-def _k2_s1_max(host):
-    """(size, family) of the largest intersecting subgraph.
-
-    An intersecting graph is a star or a triangle, so the optimum is the max
-    degree unless a triangle beats it.
-    """
-    if not len(host):
-        return 0, Family._from_canonical(host.n, 2, [])
-    degs = host.degrees()
-    center = max(degs, key=lambda v: (degs[v], -v))
-    delta = degs[center]
-    tri = _k2_first_triangle(host)
-    if tri is not None and 3 > delta:
-        return 3, tri
-    return delta, host.filter(meet=(center,))
-
-
 def max_family_nu_le(host, s, matching_cap=MATCHING_CAP, force_generic=False):
     """Exact largest subfamily with matching number at most s.
 
     Returns (size, family).  Generic path: minimum hitting set over all
-    (s+1)-matchings of the host.
+    (s+1)-matchings of the host, seeded with the stars of the s-sets (when
+    there are at most _STRUCT_SEED_CAP of them) and the windows.  For a
+    non-empty graph at s=1 the answer is the verdict's: an intersecting
+    graph is a star or a triangle, so the best star wins unless the
+    lex-first triangle is larger.
     """
     if s < 0:
         raise RangeError(f"s must be >= 0, got {s}")
-    if host.k == 2 and s == 1 and not force_generic:
-        return _k2_s1_max(host)
+    if host.k == 2 and s == 1 and len(host) and not force_generic:
+        star = max_trivial(host, 1, exact=True)
+        tri = _k2_first_triangle(host)
+        if tri is not None and 3 > star.size:
+            return 3, tri
+        return star.size, host.filter(meet=star.vertices)
     cons_idx = _enum_matching_indices(host, s + 1, matching_cap)
     if not cons_idx:
         return len(host), host
-    solver = _HitSolver(host.masks, cons_idx, s)
-    edges = host.edges
-    through = _through(host)
-    seeds = [
-        _greedy_hitting(solver),
-        _greedy_hitting(solver, tiebreak=lambda i: (edges[i][-1], -i)),
-    ]
-    seeds.extend(_star_seeds(host, through, s))
-    seeds.extend(_window_seeds(host, through, s))
-    opt, mask = solver.minimize(seeds=seeds)
+    # a star seed deletes the edges avoiding its s-set, a keep-set
+    seeds = (
+        _keep_sets(host, s) if comb(host.n, s) <= _STRUCT_SEED_CAP else []
+    )
+    seeds += _window_seeds(host, s)
+    opt, mask = _HitSolver(host.masks, cons_idx, s).minimize(seeds=seeds)
     return len(host) - opt, _family_from_kept(host, mask)
 
 
@@ -462,12 +413,11 @@ def _max_nontrivial(host, s, matching_cap, force_generic=False):
         # a non-trivial intersecting graph is a triangle
         tri = _k2_first_triangle(host)
         return (None, None) if tri is None else (3, tri)
-    through = _through(host)
     best = None
     witness = None
     for m in range(s, 0, -1):
         cons_idx = _enum_matching_indices(host, m + 1, matching_cap)
-        keeps = _keep_sets(host, through, m)
+        keeps = _keep_sets(host, m)
         if not all(keeps):
             continue
         solver = _HitSolver(host.masks, cons_idx, m)
@@ -475,7 +425,7 @@ def _max_nontrivial(host, s, matching_cap, force_generic=False):
         # (keeps[T]), so only window seeds can be feasible here
         r = solver.minimize(
             keep_sets=keeps,
-            seeds=_window_seeds(host, through, m),
+            seeds=_window_seeds(host, m),
             incumbent=len(host) + 1 if best is None else len(host) - best + 1,
         )
         if r is None:

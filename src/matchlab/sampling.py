@@ -65,9 +65,8 @@ class SampleSpec:
 
 def stream(seed, trial_index):
     """Generator over the Philox stream keyed by (seed, trial_index)."""
-    key = np.array(
-        [seed & _MASK64, trial_index & _MASK64], dtype=np.uint64
-    )
+    # the 128-bit key is the words (seed, trial_index), low word first
+    key = (seed & _MASK64) | (trial_index & _MASK64) << 64
     return np.random.Generator(np.random.Philox(key=key))
 
 

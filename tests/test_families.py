@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import pickle
@@ -24,6 +25,7 @@ from matchlab.families import (
     write_edge_file,
 )
 from matchlab.oracle import extremal_verdict
+from matchlab.sampling import SampleSpec, sample_family
 
 from oracles import (
     all_families,
@@ -260,10 +262,20 @@ class TestPairScan:
 
     def test_finds_third_edge_past_greedy(self):
         f = Family(15, 5, _dense_in_eleven() + [(1, 12, 13, 14, 15)])
-        assert len(families._greedy_matching(range(len(f)), f.masks)) == 2
+        every = (1 << len(f)) - 1
+        assert len(families._greedy_matching(every, f.edges, f.through)) == 2
         nu, m = matching_number(f)
         assert nu == 3
         check_matching(f, m)
+
+    def test_window_solves_build_no_masks(self):
+        for f in (
+            Family(15, 5, _dense_in_eleven()),
+            sample_family(SampleSpec(30, 10, 8.7e-5, 3, 0)),
+        ):
+            matching_number(f)
+            is_trivial(f)
+            assert f._masks is None
 
     def test_cover_reads_degrees_once(self, monkeypatch):
         calls = []
@@ -280,6 +292,51 @@ class TestPairScan:
         assert calls == [f]
         assert not is_trivial(f)
         assert calls == [f, f]
+
+
+class TestGoldenNu:
+    # n // k >= 4, the general branch and bound: the host's edge count, nu,
+    # and the SHA-256 of repr(witness.edges). p = 1 is complete_family(16, 4);
+    # the next three branch on hundreds of candidates at a time.
+    GOLDEN = [
+        ((16, 4, 1.0, 0, 0), 1820, 4,
+         "924ffe68bef624babc357df5c256936f842a9a3ac50c6f572e0f1edc259a6fcf"),
+        ((20, 4, 0.3, 1, 0), 1492, 5,
+         "7688e745295b1b0d9c77e0f606e2fd32a03b13499cf63e02e1d4f4f08d3837bb"),
+        ((16, 4, 0.5, 0, 0), 871, 4,
+         "463699b600be204046a4b519821dac094661a6fe680d8d1ce18de621c92dc9ca"),
+        ((24, 3, 0.2, 1, 0), 427, 8,
+         "75dd0a452f7ea4c1c493ae607353ad55d60acda29b8b3ed746dca870814a8bf8"),
+        ((12, 2, 0.5, 0, 0), 27, 6,
+         "76db2ef89609edab87c738587062ce6d506c92617a1c3d35c7e9ef70624a1998"),
+        ((20, 2, 0.2, 1, 0), 40, 9,
+         "4b460b0e3b0538b7d178e0526abcf00aa22a4acc070c1576cebdaa7425ee4748"),
+        ((65, 2, 0.03, 0, 0), 50, 21,
+         "cd2a74edfb2d5c31f6cd4b58ee6c6c0e188ee5388f7c8e7876632f224cffb641"),
+        ((70, 2, 0.03, 2, 0), 59, 25,
+         "b189451d14e166f009fee163dffa8be7677a8e35c570bc197c5fbee396f8e237"),
+        ((65, 3, 0.002, 2, 0), 71, 18,
+         "25846f1b44508538b286d2b5bb6c800bb97c2c960fc8cd7c806217132ce2a7bc"),
+        ((70, 3, 0.001, 2, 0), 44, 14,
+         "b9995ebab2d475ec5f79b75eea449b3682c496ab1bcd17454b6612ddb5eb18cf"),
+        ((65, 4, 5e-05, 1, 0), 40, 11,
+         "ae62ca5f9423cd57fbebaacfbb4568af0fb8ed1d1b47b1db5e2d40dec0d6ea27"),
+        ((70, 4, 3e-05, 0, 0), 27, 9,
+         "a61a244db482d3d03f58f2829c49a9ad226ee43358eb47a0c28c9a74b7720a0b"),
+    ]
+
+    @pytest.mark.parametrize(
+        "spec,size,nu,digest",
+        GOLDEN,
+        ids=["-".join(map(str, g[0])) for g in GOLDEN],
+    )
+    def test_golden_witness(self, spec, size, nu, digest):
+        f = sample_family(SampleSpec(*spec))
+        assert len(f) == size and f.n // f.k >= 4
+        got, m = matching_number(f)
+        assert got == nu
+        check_matching(f, m)
+        assert hashlib.sha256(repr(m.edges).encode()).hexdigest() == digest
 
 
 class TestPickle:
@@ -335,19 +392,18 @@ class TestArrayBacked:
         tup, arr = both()
         assert tup.masks == arr.masks == masks
         tup, arr = both()
-        if n > 64:
-            assert tup.np_masks() is None and arr.np_masks() is None
-        else:
-            want = np.array(masks, dtype=np.uint64)
-            assert np.array_equal(tup.np_masks(), want)
-            assert np.array_equal(arr.np_masks(), want)
-        tup, arr = both()
         assert tup.degrees() == arr.degrees() == deg
         tup, arr = both()
         assert np.array_equal(tup.vertex_array(), rows)
         for f in both():
             g = pickle.loads(pickle.dumps(f))
             assert g == f and g.edges == tuple(canon) and g.masks == masks
+
+    def test_masks_of_numpy_vertices(self):
+        # bits 63 and 69 are past a 64-bit integer's reach
+        for n in (64, 70):
+            f = Family(n, 2, [(np.int64(1), np.int64(n))])
+            assert f.masks == (1 | 1 << (n - 1),)
 
     def test_vertex_array_is_read_only(self):
         for f in (

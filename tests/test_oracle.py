@@ -106,6 +106,13 @@ class TestMaxFamily:
         sz, fam = max_family_nu_le(complete_family(4, 2), 0)
         assert sz == 0 and fam.edges == ()
 
+    def test_graph_without_vertices(self):
+        host = Family(0, 2, [])
+        assert max_family_nu_le(host, 1) == (0, host)
+        # the verdict needs an s-set of vertices
+        with pytest.raises(RangeError):
+            extremal_verdict(host, 1)
+
     def test_negative_s(self):
         with pytest.raises(RangeError):
             max_family_nu_le(complete_family(4, 2), -1)
@@ -237,10 +244,17 @@ class TestVerdict:
     # K4 at s=1: the best star and the triangle tie at 3 edges
     @example(complete_family(4, 2), 1, False)
     @example(complete_family(4, 2), 1, True)
+    @example(complete_family(3, 2), 1, False)
+    @example(Family(5, 2, [(1, 2), (1, 3), (1, 4)]), 1, False)
+    @example(Family(5, 2, []), 1, False)
     @settings(max_examples=60, deadline=None)
     def test_opt_is_best_star_or_nontrivial(self, fam, s, force_generic):
         v = extremal_verdict(fam, s, force_generic=force_generic)
-        assert v.opt_size == max_family_nu_le(fam, s)[0]
+        size, best = max_family_nu_le(fam, s)
+        assert v.opt_size == size
+        if fam.k == 2 and s == 1 and not force_generic:
+            # a graph at s=1 gets the verdict's own optimum, ties to the star
+            assert best == v.opt_family
         nt = v.max_nontrivial_size
         if nt is not None and nt > v.max_trivial_size:
             assert v.opt_family == v.nontrivial_witness
@@ -297,16 +311,15 @@ class TestSearch:
         """Levels s..1 with a shared incumbent give the witness of levels
         1..s each solved alone, where a later level wins only when larger."""
         best = witness = None
-        through = oracle._through(fam)
         for m in range(1, s + 1):
             cons = oracle._enum_matching_indices(
                 fam, m + 1, oracle.MATCHING_CAP
             )
-            keeps = oracle._keep_sets(fam, through, m)
+            keeps = oracle._keep_sets(fam, m)
             if not all(keeps):
                 continue
             r = oracle._HitSolver(fam.masks, cons, m).minimize(
-                keep_sets=keeps, seeds=oracle._window_seeds(fam, through, m)
+                keep_sets=keeps, seeds=oracle._window_seeds(fam, m)
             )
             if r is not None and (best is None or len(fam) - r[0] > best):
                 best = len(fam) - r[0]
