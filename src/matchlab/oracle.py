@@ -18,6 +18,13 @@ feasible at level nu(F).  A trivial family with nu <= s is
 covered by nu <= s vertices, so it lies in the star of some s-set; the
 verdict's optimum is therefore the larger of the best star and the
 non-trivial maximum, with no third solve.
+
+Which witness a search returns is fixed by its branching and item order
+alone.  The lower bound only decides which subtrees are cut, and a sound
+bound cuts only subtrees holding no solution strictly smaller than the
+incumbent, so every bound visits the same sequence of improving solutions:
+the packing bound takes constraints fewest conflicts first, in a second
+numbering of the constraints, without changing any witness.
 """
 
 from __future__ import annotations
@@ -78,38 +85,65 @@ class Verdict:
         }
 
 
+def _enum_matchings(fam, size, cap, label):
+    """All matchings of exactly `size` edges, lex order, each as the tuple
+    of `label[i]` over its edge indices i.
+
+    Depth-first over `Family.through` bitsets: the candidates at a depth are
+    the edges after the last pick that meet no pick, and the last depth
+    emits every remaining candidate at once.
+    """
+    if size == 1:
+        out = [(x,) for x in label]
+    else:
+        through = fam.through
+        meet = []
+        for e in fam.edges:
+            b = 0
+            for v in e:
+                b |= through[v]
+            meet.append(b)
+        out = []
+        chosen = []
+        cands = [(1 << len(fam)) - 1]
+        while cands:
+            c = cands[-1]
+            depth = len(chosen)
+            if c.bit_count() < size - depth:
+                cands.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            low = c & -c
+            i = low.bit_length() - 1
+            cands[-1] = c = c ^ low
+            c ^= c & meet[i]
+            if depth + 2 < size:
+                chosen.append(label[i])
+                cands.append(c)
+                continue
+            pre = (*chosen, label[i])
+            while c:
+                low = c & -c
+                out.append((*pre, label[low.bit_length() - 1]))
+                c ^= low
+            if len(out) > cap:
+                break
+    if len(out) > cap:
+        raise ExplosionError(f"more than {cap} matchings of size {size}")
+    return out
+
+
 def _enum_matching_indices(fam, size, cap):
     """Index tuples of all matchings of exactly `size` edges, lex order."""
-    masks = fam.masks
-    m = len(masks)
-    out = []
-
-    def rec(start, chosen, used):
-        if len(chosen) == size:
-            out.append(tuple(chosen))
-            if len(out) > cap:
-                raise ExplosionError(
-                    f"more than {cap} matchings of size {size}"
-                )
-            return
-        need = size - len(chosen)
-        for i in range(start, m - need + 1):
-            if masks[i] & used == 0:
-                chosen.append(i)
-                rec(i + 1, chosen, used | masks[i])
-                chosen.pop()
-
-    rec(0, [], 0)
-    return out
+    return _enum_matchings(fam, size, cap, list(range(len(fam))))
 
 
 def enumerate_matchings(fam, size, cap=MATCHING_CAP):
     """All matchings of exactly `size` edges, in lexicographic order."""
     if size < 1:
         raise RangeError(f"matching size must be >= 1, got {size}")
-    idxs = _enum_matching_indices(fam, size, cap)
-    edges = fam.edges
-    return [Matching(tuple(edges[i] for i in t)) for t in idxs]
+    return list(map(Matching, _enum_matchings(fam, size, cap, fam.edges)))
 
 
 def _bitset(indices, size):
@@ -133,27 +167,62 @@ class _HitSolver:
 
     The state is transposed: `hits[j]` is the bitset of the constraints that
     contain item j, so deleting j drops its constraints by one AND-NOT on the
-    bitset of unhit constraints.  `buckets[t]` holds the constraints with
+    bitset of unhit constraints, written `x ^ (x & row)`: `x & ~row` goes
+    through a negative int, several times slower on wide bitsets.  `buckets[t]` holds the constraints with
     exactly t protected items; among unhit ones, t = level + 1 is infeasible,
     t = level forces the last item, and branching takes the first constraint
     of the fullest bucket below that.  The search runs on an explicit stack,
     so its depth is not bounded by the interpreter's recursion limit.
+
+    The packing bound reads a second numbering of the constraints, fewest
+    conflicts first: a constraint's score is the sum over its items of the
+    number of constraints through the item, ties in lex order.  `hits_p[j]`
+    is item j's row in that order, and each node carries `unhit_p`, the
+    unhit set renumbered, which deletions AND out with `unhit`.  The order
+    runs from the top bit down, so the pack takes the highest bit of
+    `unhit_p` (`bit_length`, no full-width lowest-bit extraction) and drops
+    every constraint sharing an item with it, by one cached mask of the
+    bits below; the cache holds at most `num` masks, and a constraint
+    outside it drops its items' rows one by one, so no table is quadratic
+    in the constraint count.  Taking the least
+    conflicting constraints first packs more of them (Halldorsson and
+    Radhakrishnan, "Greed is good", Algorithmica 18, 1997), so more
+    subtrees are cut.  Branching, forcing and keep-set checks read only the
+    lex numbering, and a sound bound cuts only subtrees without a strictly
+    smaller solution, so the returned solution is the one any sound bound
+    gives.
     """
 
     def __init__(self, item_masks, constraints, level):
         self.num = len(item_masks)
         self.level = level
         self.cons = constraints
-        self.all = (1 << len(constraints)) - 1
+        width = len(constraints)
+        self.all = (1 << width) - 1
         self.nodes = 0
         rows = [[] for _ in range(self.num)]
         for c, t in enumerate(constraints):
             for i in t:
                 rows[i].append(c)
-        self.hits = [_bitset(r, len(constraints)) for r in rows]
+        self.hits = [_bitset(r, width) for r in rows]
+        # the pack order: fewest conflicts first, ties in lex order, where a
+        # constraint's score is the number of constraints through each of
+        # its items, summed; the first constraint takes the highest bit
+        degree = list(map(len, rows))
+        score = [sum(map(degree.__getitem__, t)) for t in constraints]
+        order = sorted(range(width), key=score.__getitem__)
+        order.reverse()
+        self.pack_cons = list(map(constraints.__getitem__, order))
+        bit = [0] * width
+        for b, c in enumerate(order):
+            bit[c] = b
+        self.hits_p = [_bitset(map(bit.__getitem__, r), width) for r in rows]
+        # pack bit -> the constraints below it sharing no item with it; at
+        # most `num` entries
+        self.pack_keep = {}
         groups = []
         for i in range(self.num):
-            if not rows[i]:
+            if not degree[i]:
                 continue
             vm = item_masks[i]
             for g in groups:
@@ -166,22 +235,34 @@ class _HitSolver:
                 groups.append([vm, 1 << i, 1])
         self.groups = [g[1] for g in groups if g[2] > level]
 
-    def _bound_cuts(self, deleted, protected, unhit, room):
+    def _bound_cuts(self, deleted, protected, unhit_p, room):
         """True when every completion deletes at least `room` more items.
 
         Two relaxations: pairwise item-disjoint unhit constraints (first fit
-        in index order) each need their own deletion; and per disjoint
-        bundle, survivors beyond `level` must go.  Also true when a bundle
-        has too few unprotected survivors, i.e. no completion exists.
+        in pack order, fewest conflicts first) each need their own deletion;
+        and per disjoint bundle, survivors beyond `level` must go.  Also true
+        when a bundle has too few unprotected survivors, i.e. no completion
+        exists.
         """
-        hits, cons = self.hits, self.cons
+        hits_p, cache = self.hits_p, self.pack_keep
         pack = 0
-        while unhit:
+        while unhit_p:
             pack += 1
             if pack >= room:
                 return True
-            for j in cons[(unhit & -unhit).bit_length() - 1]:
-                unhit &= ~hits[j]
+            # the top bit, so each pick leaves a shorter int
+            b = unhit_p.bit_length() - 1
+            keep = cache.get(b)
+            if keep is None:
+                if len(cache) == self.num:
+                    for j in self.pack_cons[b]:
+                        unhit_p ^= unhit_p & hits_p[j]
+                    continue
+                below = (1 << b) - 1
+                for j in self.pack_cons[b]:
+                    below ^= below & hits_p[j]
+                keep = cache[b] = below
+            unhit_p &= keep
         alive = ~deleted
         free = alive & ~protected
         lb = 0
@@ -205,7 +286,7 @@ class _HitSolver:
         first solution found, and `nodes` is left on the solver.
         """
         level = self.level
-        hits, cons = self.hits, self.cons
+        hits, hits_p, cons = self.hits, self.hits_p, self.cons
         best_size = self.num + 1 if incumbent is None else incumbent
         best_mask = None
         for seed in sorted(seeds, key=int.bit_count):
@@ -226,14 +307,19 @@ class _HitSolver:
                 keeps_of[low.bit_length() - 1].append(ks)
         min_keep = min(map(int.bit_count, keep_sets), default=self.num + 1)
 
-        # a node is (unhit, buckets, deleted, protected, count, fresh): fresh
-        # lists the items deleted on entering it; a frame on the stack is
-        # [unhit, buckets, deleted, protected, count, branch items, next]
-        node = (self.all, [self.all] + [0] * (level + 1), 0, 0, 0, ())
+        # a node is (unhit, unhit_p, buckets, deleted, protected, count,
+        # fresh): unhit_p is unhit in pack order, and fresh lists the items
+        # deleted on entering the node; a frame on the stack is [unhit,
+        # unhit_p, buckets, deleted, protected, count, branch items, next]
+        node = (
+            self.all, self.all, [self.all] + [0] * (level + 1), 0, 0, 0, ()
+        )
         stack = []
         while True:
             if node is not None:
-                unhit, buckets, deleted, protected, count, fresh = node
+                (
+                    unhit, unhit_p, buckets, deleted, protected, count, fresh
+                ) = node
                 node = None
                 while True:
                     # a keep-set can only be gone once `count` reaches its
@@ -254,15 +340,16 @@ class _HitSolver:
                                     break
                             fresh.append(j)
                             deleted |= 1 << j
-                            unhit &= ~hits[j]
-                            forced &= ~hits[j]
+                            unhit ^= unhit & hits[j]
+                            unhit_p ^= unhit_p & hits_p[j]
+                            forced ^= forced & hits[j]
                         count += len(fresh)
                         continue
                     if not unhit:
                         best_size, best_mask = count, deleted
                         break
                     if self._bound_cuts(
-                        deleted, protected, unhit, best_size - count
+                        deleted, protected, unhit_p, best_size - count
                     ):
                         break
                     for t in range(level - 1, -1, -1):
@@ -271,14 +358,17 @@ class _HitSolver:
                             break
                     first = cons[(cand & -cand).bit_length() - 1]
                     items = [j for j in first if not protected >> j & 1]
-                    stack.append(
-                        [unhit, buckets, deleted, protected, count, items, 0]
-                    )
+                    stack.append([
+                        unhit, unhit_p, buckets, deleted, protected, count,
+                        items, 0,
+                    ])
                     break
             if not stack:
                 break
             frame = stack[-1]
-            unhit, buckets, deleted, protected, count, items, pos = frame
+            (
+                unhit, unhit_p, buckets, deleted, protected, count, items, pos
+            ) = frame
             if pos == len(items) or pos and count + 1 >= best_size:
                 stack.pop()
                 continue
@@ -287,19 +377,19 @@ class _HitSolver:
                 # of the buckets (the first child shared the parent's)
                 j = items[pos - 1]
                 if pos == 1:
-                    buckets = frame[1] = list(buckets)
+                    buckets = frame[2] = list(buckets)
                 moved = hits[j] & unhit
                 for t in range(level, -1, -1):
                     up = buckets[t] & moved
                     if up:
                         buckets[t] ^= up
                         buckets[t + 1] |= up
-                protected = frame[3] = protected | 1 << j
+                protected = frame[4] = protected | 1 << j
             j = items[pos]
-            frame[6] = pos + 1
+            frame[7] = pos + 1
             node = (
-                unhit & ~hits[j], buckets, deleted | 1 << j, protected,
-                count + 1, (j,),
+                unhit ^ (unhit & hits[j]), unhit_p ^ (unhit_p & hits_p[j]),
+                buckets, deleted | 1 << j, protected, count + 1, (j,),
             )
             self.nodes += 1
             if self.nodes > node_cap:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import sys
 from math import comb
 
@@ -76,6 +78,12 @@ class TestEnumerateMatchings:
     def test_cap(self):
         with pytest.raises(ExplosionError):
             enumerate_matchings(complete_family(9, 3), 2, cap=10)
+
+    def test_cap_allows_exactly_cap(self):
+        # complete_family(6, 3) has exactly 10 matchings of size 2
+        assert len(enumerate_matchings(complete_family(6, 3), 2, cap=10)) == 10
+        with pytest.raises(ExplosionError):
+            enumerate_matchings(complete_family(6, 3), 2, cap=9)
 
     @given(small_family())
     @settings(max_examples=150, deadline=None)
@@ -262,6 +270,11 @@ class TestVerdict:
             assert v.opt_family == fam.filter(meet=v.best_trivial_set)
 
 
+# the 48 hosts of round 0 of the verdict-n11 benchmark workload (master
+# seed 0, cell 0)
+N11_ROUND0 = [(11, 3, 0.2, 0, t) for t in range(48)]
+
+
 def _stack_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -305,6 +318,22 @@ class TestSearch:
         assert nodes[1] == 1
         assert extremal_verdict(host, 1).max_nontrivial_size == 11
 
+    def test_level_two_node_budget(self, monkeypatch):
+        # the level-2 searches of the verdict-n11 round-0 hosts took 25,802
+        # nodes with the pack bound in lex order and 14,551 fewest conflicts
+        # first; a weaker bound visits more nodes and fails here
+        solvers = []
+
+        class Recording(oracle._HitSolver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                solvers.append(self)
+
+        monkeypatch.setattr(oracle, "_HitSolver", Recording)
+        for spec in N11_ROUND0:
+            extremal_verdict(sample_family(SampleSpec(*spec)), 2)
+        assert sum(sv.nodes for sv in solvers if sv.level == 2) <= 14_551
+
     @given(small_family(max_n=7, max_edges=10), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_witness_matches_bottom_up_levels(self, fam, s):
@@ -328,6 +357,46 @@ class TestSearch:
             fam, s, oracle.MATCHING_CAP, force_generic=True
         )
         assert got == (best, witness)
+
+
+class TestGoldenVerdicts:
+    """SHA-256 over the verdicts and the `max_family_nu_le` answers,
+    witnesses included, of fixed sampled hosts: a search change that returns
+    another witness of the same size shows here."""
+
+    GOLDEN = [
+        ("n11", N11_ROUND0, 2,
+         "9c08a485ba9cf0f99561a555cd913fc429891dacc7c5196e52022eb7d0de031c",
+         "fef8588ba574eda6fe56c25093a873390638e7037dd923c14e4c54b2049e007b"),
+        ("k2", [(10, 2, 0.5, 1, t) for t in range(4)], 2,
+         "fe8ef6a4ca6783315048aaa276821d23d945b11e8fa9a4382ae67612410fe6c2",
+         "e9f43e3cdc8718b4ed7318a1ebdb2ab6ac23ca84593e8691d1367586b644d674"),
+        ("k4", [(10, 4, 0.2, 1, t) for t in range(3)]
+         + [(12, 4, 0.1, 1, t) for t in range(3)], 1,
+         "e4c77219f00a3173b9264817fb167eff38111341140fde64a2cf4c8a85823a4d",
+         "d394b731acd51558b593f8afc8bdba120b75427f0f932434ccb445867aa34b25"),
+        ("k3", [(12, 3, 0.15, 1, t) for t in range(3)]
+         + [(13, 3, 0.12, 1, t) for t in range(3)], 2,
+         "b890a967a48f03179f8c9f89e7fa7e6f4f6f66067d11e4a7d3d469a69255790d",
+         "14c9f8ac28e3ed54f62c7db4145c776c81c6c469662682cd2b929a0977ebafce"),
+    ]
+
+    @pytest.mark.parametrize(
+        "specs,s,verdicts,nu_le", [g[1:] for g in GOLDEN],
+        ids=[g[0] for g in GOLDEN],
+    )
+    def test_golden(self, specs, s, verdicts, nu_le):
+        v_hash, nu_hash = hashlib.sha256(), hashlib.sha256()
+        for spec in specs:
+            host = sample_family(SampleSpec(*spec))
+            v = extremal_verdict(host, s).to_dict()
+            v_hash.update(json.dumps(v, sort_keys=True).encode())
+            size, fam = max_family_nu_le(host, s)
+            nu_hash.update(
+                json.dumps([size, [list(e) for e in fam.edges]]).encode()
+            )
+        assert v_hash.hexdigest() == verdicts
+        assert nu_hash.hexdigest() == nu_le
 
 
 def _milp_level_max(host, m, nontrivial):
