@@ -226,13 +226,6 @@ def branching_cover(fam, t, meet=None):
     return CoverBasis(members, t + 1, bound)
 
 
-def _common_vertices(edge_masks):
-    common = -1
-    for m in edge_masks:
-        common &= m
-    return common
-
-
 def certify_decomposition(host, avoid=()):
     """Partition the edges avoiding `avoid` around a maximum matching.
 
@@ -251,46 +244,44 @@ def certify_decomposition(host, avoid=()):
     if not is_t_resilient(fam, 1):
         raise NotResilientError("certificate needs a 1-resilient family")
     k = fam.k
-    match_masks = [0] * nu
-    for i, e in enumerate(witness.edges):
-        for v in e:
-            match_masks[i] |= 1 << (v - 1)
-    x_mask = 0
-    for m in match_masks:
-        x_mask |= m
+    edges, through = fam.edges, fam.through
 
-    h0 = []
-    part_edges = [[] for _ in range(nu)]
-    for e, m in zip(fam.edges, fam.masks):
-        hits = (m & x_mask).bit_count()
-        if hits == 0:
-            raise ClassificationError(
-                f"edge {e} misses the maximum matching's vertex set"
-            )
-        if hits >= 2:
-            h0.append(e)
-            continue
-        bit = m & x_mask
-        for i in range(nu):
-            if match_masks[i] & bit:
-                part_edges[i].append(e)
-                break
+    def first(bits):
+        return edges[(bits & -bits).bit_length() - 1]
+
+    # the edges meeting X, and those meeting it at least twice
+    once = twice = 0
+    for v in witness.vertices():
+        twice |= once & through[v]
+        once |= through[v]
+    missing = ((1 << len(fam)) - 1) & ~once
+    if missing:
+        raise ClassificationError(
+            f"edge {first(missing)} misses the maximum matching's vertex set"
+        )
+    single = once & ~twice
 
     parts = []
     q_union = set()
-    for i in range(nu):
-        edges_i = part_edges[i]
-        if not edges_i:
+    for i, anchor in enumerate(witness.edges):
+        # the part's edges grouped by their one X-vertex, in vertex order;
+        # the groups are disjoint, so their sum is their union
+        by_hit = [(v, single & through[v]) for v in anchor]
+        by_hit = [(v, bits) for v, bits in by_hit if bits]
+        part = sum(bits for _, bits in by_hit)
+        if not part:
             parts.append(Part(index=i + 1, edges=(), tag="empty"))
             continue
-        sub = Family._from_canonical(fam.n, k, edges_i)
+        sub = fam._take(part)
         if matching_number(sub)[0] > 1:
             raise ClassificationError(
                 f"part {i + 1} is not intersecting; solver invariant broken"
             )
-        common = _common_vertices(sub.masks)
-        if common:
-            center = (common & -common).bit_length()
+        # the smallest vertex common to every edge of the part, if any
+        center = next(
+            (v for v in first(part) if through[v] & part == part), None
+        )
+        if center is not None:
             q_set = _max_matching(fam.filter(avoid=(center,))).vertices()
             parts.append(
                 Part(
@@ -302,18 +293,10 @@ def certify_decomposition(host, avoid=()):
                 )
             )
             continue
-        anchor = witness.edges[i]
-        anchor_mask = match_masks[i]
-        by_hit = {}
-        for e, m in zip(sub.edges, sub.masks):
-            hit = (m & anchor_mask).bit_length()
-            by_hit.setdefault(hit, []).append(e)
         assert len(by_hit) >= 2
-        x_i = min(by_hit)
-        prime = by_hit[x_i][0]
-        second = next(
-            edges for hit, edges in sorted(by_hit.items()) if hit != x_i
-        )[0]
+        x_i = by_hit[0][0]
+        prime = first(by_hit[0][1])
+        second = first(by_hit[1][1])
         parts.append(
             Part(
                 index=i + 1,
@@ -333,7 +316,7 @@ def certify_decomposition(host, avoid=()):
         q=nu,
         matching=witness,
         x_set=witness.vertices(),
-        h0=tuple(h0),
+        h0=fam._take(twice).edges,
         parts=tuple(parts),
         q_union=tuple(sorted(q_union)),
     )

@@ -1,12 +1,13 @@
 """k-uniform set families on [n] with exact matching and covering solvers.
 
 Vertices are 1-based integers.  Edges are stored canonically: sorted within
-each edge, edges sorted lexicographically, duplicates removed.  The solvers
-for nu and tau run on one vertex -> edge index (`Family.through`, bit i set
-for edge i): a set of candidate edges is one int, and dropping the edges
-through a vertex is one big-int operation.  Per-edge vertex masks
-(`Family.masks`, bit v-1 set for vertex v) serve the oracle, the cover
-constructions and the sampler's star counts.
+each edge, edges sorted lexicographically, duplicates removed.  A `Family`
+holds one stored form, the (m, k) vertex array, and one index over it, the
+vertex -> edge bitsets `Family.through` (bit i set for edge i): a set of
+edges is one int, dropping the edges through a vertex is one big-int
+operation, and a subfamily is a row selection of the array.  The solvers,
+the oracle, the cover certificates and the sampler's star counts all read
+`through`; this module is the only one that knows how edges are stored.
 
 Conventions for degenerate inputs: the empty family has matching number 0
 and covering number 0 and counts as trivial.  A 0-uniform family (which can
@@ -24,6 +25,8 @@ import numpy as np
 from .errors import OverlapError, SizeError
 
 MAX_VERTICES = 1024
+# cells of the boolean incidence `Family.through` packs at a time
+_THROUGH_BLOCK_CELLS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -62,23 +65,16 @@ def _edge_mask(edge):
 class Family:
     """Immutable k-uniform family of subsets of [n].
 
-    The edges are held in whichever form the family was built from: the
-    canonical (m, k) int64 vertex array (`vertex_array()`, as the sampler
-    makes it) or the tuple of edge tuples (`edges`).  The other form, the
-    vertex -> edge index (`through`, read by nu and tau) and the per-edge
-    int masks (`masks`, read by the oracle, the covers and `max_trivial`)
-    are derived on first use and cached.
+    The edges are stored once, as the canonical (m, k) int64 vertex array
+    (`vertex_array()`).  The edge tuples (`edges`) and the vertex -> edge
+    index (`through`, the one index the package reads) are derived from it
+    on first use and cached.  A subfamily is a row selection of the array.
+    `masks`, per-edge int masks with bit v-1 set for vertex v, is an
+    uncached view for callers outside the package; no module of it reads
+    the masks.
     """
 
-    __slots__ = (
-        "n",
-        "k",
-        "_array",
-        "_edges",
-        "_masks",
-        "_through",
-        "_nu",
-    )
+    __slots__ = ("n", "k", "_array", "_edges", "_through", "_nu")
 
     def __init__(self, n, k, edges):
         if not (0 <= n <= MAX_VERTICES):
@@ -97,16 +93,10 @@ class Family:
             if t and (t[0] < 1 or t[-1] > n):
                 raise ValueError(f"edge {t} leaves the vertex range [1, {n}]")
             canon.add(t)
-        self._set(n, k, None, tuple(sorted(canon)), None)
-
-    @classmethod
-    def _from_canonical(cls, n, k, edges, masks=None):
-        """Trusted constructor: edges already sorted, uniform, deduplicated."""
-        self = cls.__new__(cls)
-        if masks is not None:
-            masks = tuple(masks)
-        self._set(n, k, None, tuple(edges), masks)
-        return self
+        edges = tuple(sorted(canon))
+        array = np.array(edges, dtype=np.int64).reshape(len(edges), k)
+        array.flags.writeable = False
+        self._set(n, k, array, edges)
 
     @classmethod
     def _from_array(cls, n, k, array):
@@ -115,13 +105,13 @@ class Family:
         array = np.ascontiguousarray(array, dtype=np.int64)
         array.flags.writeable = False
         self = cls.__new__(cls)
-        self._set(n, k, array, None, None)
+        self._set(n, k, array, None)
         return self
 
-    def _set(self, n, k, array, edges, masks):
+    def _set(self, n, k, array, edges):
         for name, value in (
             ("n", n), ("k", k), ("_array", array), ("_edges", edges),
-            ("_masks", masks), ("_through", None), ("_nu", None),
+            ("_through", None), ("_nu", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -130,7 +120,28 @@ class Family:
 
     def __reduce__(self):
         # rebuilt through the trusted constructor; caches are not carried
-        return Family._from_array, (self.n, self.k, self.vertex_array())
+        return Family._from_array, (self.n, self.k, self._array)
+
+    def _rows(self, kept):
+        """The edge bitset `kept` as a boolean row mask over the array."""
+        m = len(self._array)
+        raw = np.frombuffer(kept.to_bytes((m + 7) >> 3, "little"), np.uint8)
+        return np.unpackbits(raw, count=m, bitorder="little").view(bool)
+
+    def _take(self, kept):
+        """The subfamily of the edges in the bitset `kept`, in order."""
+        if kept == (1 << len(self)) - 1:
+            return self
+        return Family._from_array(
+            self.n, self.k, self._array[self._rows(kept)]
+        )
+
+    def _meeting(self, v):
+        """through[v] for any vertex v >= 1: a vertex above n lies in no
+        edge.  A vertex below 1 is a ValueError."""
+        if v < 1:
+            raise ValueError(f"vertex {v} is below 1")
+        return self.through[v] if v <= self.n else 0
 
     @property
     def edges(self):
@@ -143,28 +154,18 @@ class Family:
 
     @property
     def masks(self):
-        """Per-edge int masks, bit v-1 set for vertex v."""
-        if self._masks is None:
-            # from the int64 array, so vertices given as numpy ints shift
-            # as Python ints
-            rows = self.vertex_array().tolist()
-            object.__setattr__(self, "_masks", tuple(map(_edge_mask, rows)))
-        return self._masks
+        """Per-edge int masks, bit v-1 set for vertex v; built on each
+        call."""
+        # from the int64 array, so vertices given as numpy ints shift as
+        # Python ints
+        return tuple(map(_edge_mask, self._array.tolist()))
 
     def vertex_array(self):
         """The edges as a read-only (m, k) int64 array, one sorted row per
         edge, rows in lexicographic order."""
-        if self._array is None:
-            array = np.array(self._edges, dtype=np.int64).reshape(
-                len(self._edges), self.k
-            )
-            array.flags.writeable = False
-            object.__setattr__(self, "_array", array)
         return self._array
 
     def __len__(self):
-        if self._edges is not None:
-            return len(self._edges)
         return len(self._array)
 
     def __iter__(self):
@@ -189,17 +190,23 @@ class Family:
         """through[v]: the int bitset of the edges containing v (bit i for
         edge i), for v = 0..n; through[0] is 0.
 
-        Built from one (n+1, m) boolean incidence, packed a row at a time.
+        Built from a boolean vertex x edge incidence, packed a row at a
+        time, for a block of vertices at a time: the whole (n+1, m) matrix
+        would be 8 times the index itself (300 MiB at n=1000, m=300k).
         """
         if self._through is None:
-            arr = self.vertex_array()
+            arr = self._array
             m = len(arr)
-            inc = np.zeros((self.n + 1, m), dtype=bool)
-            inc[arr, np.arange(m)[:, None]] = True
-            rows = np.packbits(inc, axis=1, bitorder="little")
-            object.__setattr__(self, "_through", tuple(
-                int.from_bytes(r.tobytes(), "little") for r in rows
-            ))
+            edge = np.broadcast_to(np.arange(m)[:, None], arr.shape)
+            step = max(1, _THROUGH_BLOCK_CELLS // max(m, 1))
+            rows = []
+            for lo in range(0, self.n + 1, step):
+                inc = np.zeros((min(step, self.n + 1 - lo), m), dtype=bool)
+                sel = (arr >= lo) & (arr < lo + step)
+                inc[arr[sel] - lo, edge[sel]] = True
+                packed = np.packbits(inc, axis=1, bitorder="little")
+                rows += (int.from_bytes(r.tobytes(), "little") for r in packed)
+            object.__setattr__(self, "_through", tuple(rows))
         return self._through
 
     def degree(self, v):
@@ -214,57 +221,53 @@ class Family:
         """Edges disjoint from `avoid` that intersect `meet`.
 
         `meet=None` means no intersection constraint.  An explicit empty
-        meet set keeps nothing (no edge intersects the empty set).
+        meet set keeps nothing (no edge intersects the empty set).  A vertex
+        above n lies in no edge; one below 1 is a ValueError.
         """
         avoid_set = frozenset(avoid)
-        a_mask = _edge_mask(avoid_set)
-        if meet is None:
-            kept = [
-                (e, m)
-                for e, m in zip(self.edges, self.masks)
-                if m & a_mask == 0
-            ]
-        else:
+        hit = 0
+        for v in avoid_set:
+            hit |= self._meeting(v)
+        kept = ((1 << len(self)) - 1) & ~hit
+        if meet is not None:
             meet_set = frozenset(meet)
             if avoid_set & meet_set:
                 raise OverlapError(
                     f"avoid and meet sets overlap: {sorted(avoid_set & meet_set)}"
                 )
-            q_mask = _edge_mask(meet_set)
-            kept = [
-                (e, m)
-                for e, m in zip(self.edges, self.masks)
-                if m & a_mask == 0 and m & q_mask
-            ]
-        return Family._from_canonical(
-            self.n, self.k, [e for e, _ in kept], [m for _, m in kept]
-        )
+            met = 0
+            for v in meet_set:
+                met |= self._meeting(v)
+            kept &= met
+        return self._take(kept)
 
     def delete_vertices(self, vs):
         """Drop every edge meeting `vs`; the vertex range is left as-is."""
         return self.filter(avoid=vs)
 
     def link(self, q):
-        """The family {E - Q : Q subset of E}; uniformity drops to k - |Q|."""
+        """The family {E - Q : Q subset of E}; uniformity drops to k - |Q|.
+
+        Removing Q from the edges that hold it keeps them distinct and in
+        lex order, so the link is a row selection with Q's columns dropped.
+        """
         q_set = frozenset(q)
         if len(q_set) > self.k:
             raise SizeError(f"link set size {len(q_set)} exceeds k={self.k}")
-        q_mask = _edge_mask(q_set)
-        new_edges = [
-            tuple(v for v in e if v not in q_set)
-            for e, m in zip(self.edges, self.masks)
-            if m & q_mask == q_mask
-        ]
-        return Family._from_canonical(
-            self.n, self.k - len(q_set), sorted(set(new_edges))
+        kept = (1 << len(self)) - 1
+        for v in q_set:
+            kept &= self._meeting(v)
+        rows = self._array[self._rows(kept)]
+        k = self.k - len(q_set)
+        return Family._from_array(
+            self.n, k, rows[~np.isin(rows, list(q_set))].reshape(len(rows), k)
         )
 
 
 def complete_family(n, k):
     """All k-subsets of [n]."""
-    return Family._from_canonical(
-        n, k, list(itertools.combinations(range(1, n + 1), k))
-    )
+    rows = list(itertools.combinations(range(1, n + 1), k))
+    return Family._from_array(n, k, np.array(rows).reshape(len(rows), k))
 
 
 def generated_family(members, n, k):
@@ -305,11 +308,14 @@ def generated_count(members, n, k):
 
 def generated_contains(members, fam):
     """True when every edge of `fam` contains at least one member set."""
-    mem_masks = [_edge_mask(set(b)) for b in members]
-    for m in fam.masks:
-        if not any(m & bm == bm for bm in mem_masks):
-            return False
-    return True
+    full = (1 << len(fam)) - 1
+    covered = 0
+    for b in members:
+        inside = full
+        for v in set(b):
+            inside &= fam._meeting(v)
+        covered |= inside
+    return covered == full
 
 
 def _avoiding(c, edge, through):

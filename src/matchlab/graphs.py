@@ -158,7 +158,7 @@ class _Search:
         self.witness = None
         self.nodes = 0
 
-    def masks(self):
+    def neighbours(self):
         """nbrs[v] has bit w set iff vw is an edge; built on first use."""
         if self.nbrs is None:
             n = self.g.n
@@ -204,7 +204,7 @@ def _choose_b(st, b, r, room, start, chosen, bmask, value):
         v = order[i]
         gain = deg[v]
         if chosen:
-            gain -= (st.masks()[v] & bmask).bit_count()
+            gain -= (st.neighbours()[v] & bmask).bit_count()
         _choose_b(st, b, r, room, i + 1, chosen + (v,), bmask | 1 << v,
                   value + gain)
 
@@ -275,7 +275,7 @@ def _grow(st, pk, i, done, parts, part, pmask, reach, inside, degsum, used,
     j = len(part)
     if j == z:
         return
-    order, deg, nbrs = st.order, st.deg, st.masks()
+    order, deg, nbrs = st.order, st.deg, st.neighbours()
     rest = done + pk.tails[i + 1]
     last = -1
     for q in range(start, len(order)):

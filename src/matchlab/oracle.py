@@ -85,27 +85,33 @@ class Verdict:
         }
 
 
-def _enum_matchings(fam, size, cap, label):
-    """All matchings of exactly `size` edges, lex order, each as the tuple
-    of `label[i]` over its edge indices i.
+def _meet_rows(fam):
+    """meet[i]: the bitset of the edges sharing a vertex with edge i, edge
+    i included, from `Family.through`."""
+    through = fam.through
+    meet = []
+    for e in fam.edges:
+        b = 0
+        for v in e:
+            b |= through[v]
+        meet.append(b)
+    return meet
 
-    Depth-first over `Family.through` bitsets: the candidates at a depth are
-    the edges after the last pick that meet no pick, and the last depth
-    emits every remaining candidate at once.
+
+def _enum_matchings(meet, size, cap, label):
+    """All matchings of exactly `size` edges, lex order, each as the tuple
+    of `label[i]` over its edge indices i; `meet` is the family's meet rows.
+
+    Depth-first over edge bitsets: the candidates at a depth are the edges
+    after the last pick that meet no pick, and the last depth emits every
+    remaining candidate at once.
     """
     if size == 1:
         out = [(x,) for x in label]
     else:
-        through = fam.through
-        meet = []
-        for e in fam.edges:
-            b = 0
-            for v in e:
-                b |= through[v]
-            meet.append(b)
         out = []
         chosen = []
-        cands = [(1 << len(fam)) - 1]
+        cands = [(1 << len(meet)) - 1]
         while cands:
             c = cands[-1]
             depth = len(chosen)
@@ -134,16 +140,13 @@ def _enum_matchings(fam, size, cap, label):
     return out
 
 
-def _enum_matching_indices(fam, size, cap):
-    """Index tuples of all matchings of exactly `size` edges, lex order."""
-    return _enum_matchings(fam, size, cap, list(range(len(fam))))
-
-
 def enumerate_matchings(fam, size, cap=MATCHING_CAP):
     """All matchings of exactly `size` edges, in lexicographic order."""
     if size < 1:
         raise RangeError(f"matching size must be >= 1, got {size}")
-    return list(map(Matching, _enum_matchings(fam, size, cap, fam.edges)))
+    return list(
+        map(Matching, _enum_matchings(_meet_rows(fam), size, cap, fam.edges))
+    )
 
 
 def _bitset(indices, size):
@@ -161,9 +164,10 @@ class _HitSolver:
     constraint is hit when one of its items is deleted.  Branching on a
     constraint's items in order, protecting the earlier ones, partitions the
     solution space.  The lower bound groups support items into
-    pairwise-disjoint bundles (first fit); a bundle of g surviving edges is
-    itself a matching, so any feasible completion deletes at least g - level
-    of them.
+    pairwise-disjoint bundles (first fit on the host's meet rows: edge i
+    joins a bundle holding no edge of `meet[i]`); a bundle of g surviving
+    edges is itself a matching, so any feasible completion deletes at least
+    g - level of them.
 
     The state is transposed: `hits[j]` is the bitset of the constraints that
     contain item j, so deleting j drops its constraints by one AND-NOT on the
@@ -193,8 +197,8 @@ class _HitSolver:
     gives.
     """
 
-    def __init__(self, item_masks, constraints, level):
-        self.num = len(item_masks)
+    def __init__(self, meet, constraints, level):
+        self.num = len(meet)
         self.level = level
         self.cons = constraints
         width = len(constraints)
@@ -224,16 +228,15 @@ class _HitSolver:
         for i in range(self.num):
             if not degree[i]:
                 continue
-            vm = item_masks[i]
+            row = meet[i]
             for g in groups:
-                if g[0] & vm == 0:
-                    g[0] |= vm
-                    g[1] |= 1 << i
-                    g[2] += 1
+                if g[0] & row == 0:
+                    g[0] |= 1 << i
+                    g[1] += 1
                     break
             else:
-                groups.append([vm, 1 << i, 1])
-        self.groups = [g[1] for g in groups if g[2] > level]
+                groups.append([1 << i, 1])
+        self.groups = [g[0] for g in groups if g[1] > level]
 
     def _bound_cuts(self, deleted, protected, unhit_p, room):
         """True when every completion deletes at least `room` more items.
@@ -436,10 +439,14 @@ def _window_seeds(host, level):
     return seeds
 
 
-def _family_from_kept(host, deleted_mask):
-    edges = [e for i, e in enumerate(host.edges) if not deleted_mask >> i & 1]
-    masks = [m for i, m in enumerate(host.masks) if not deleted_mask >> i & 1]
-    return Family._from_canonical(host.n, host.k, edges, masks)
+def _solve_level(meet, m, cap, keep_sets=(), seeds=(), incumbent=None):
+    """One level of the hitting-set program on a host with meet rows
+    `meet`: the fewest edges to delete so that no m+1 pairwise disjoint
+    edges survive, as `_HitSolver.minimize` returns them."""
+    cons = _enum_matchings(meet, m + 1, cap, list(range(len(meet))))
+    return _HitSolver(meet, cons, m).minimize(
+        keep_sets=keep_sets, seeds=seeds, incumbent=incumbent
+    )
 
 
 def _k2_first_triangle(host):
@@ -458,7 +465,7 @@ def _k2_first_triangle(host):
                 (tri[0], tri[2]),
                 (tri[1], tri[2]),
             ]
-            return Family._from_canonical(host.n, 2, edges)
+            return Family(host.n, 2, edges)
     return None
 
 
@@ -480,16 +487,15 @@ def max_family_nu_le(host, s, matching_cap=MATCHING_CAP, force_generic=False):
         if tri is not None and 3 > star.size:
             return 3, tri
         return star.size, host.filter(meet=star.vertices)
-    cons_idx = _enum_matching_indices(host, s + 1, matching_cap)
-    if not cons_idx:
-        return len(host), host
     # a star seed deletes the edges avoiding its s-set, a keep-set
     seeds = (
         _keep_sets(host, s) if comb(host.n, s) <= _STRUCT_SEED_CAP else []
     )
     seeds += _window_seeds(host, s)
-    opt, mask = _HitSolver(host.masks, cons_idx, s).minimize(seeds=seeds)
-    return len(host) - opt, _family_from_kept(host, mask)
+    opt, mask = _solve_level(_meet_rows(host), s, matching_cap, seeds=seeds)
+    # with no (s+1)-matching nothing is deleted, and the host is its own
+    # answer
+    return len(host) - opt, host._take(((1 << len(host)) - 1) ^ mask)
 
 
 def _max_nontrivial(host, s, matching_cap, force_generic=False):
@@ -505,15 +511,18 @@ def _max_nontrivial(host, s, matching_cap, force_generic=False):
         return (None, None) if tri is None else (3, tri)
     best = None
     witness = None
+    meet = _meet_rows(host)
+    full = (1 << len(host)) - 1
     for m in range(s, 0, -1):
-        cons_idx = _enum_matching_indices(host, m + 1, matching_cap)
         keeps = _keep_sets(host, m)
+        # an empty keep-set means m vertices cover the host, which then has
+        # no (m+1)-matching to enumerate
         if not all(keeps):
             continue
-        solver = _HitSolver(host.masks, cons_idx, m)
         # a star seed deletes exactly the edges avoiding its T, a keep-set
         # (keeps[T]), so only window seeds can be feasible here
-        r = solver.minimize(
+        r = _solve_level(
+            meet, m, matching_cap,
             keep_sets=keeps,
             seeds=_window_seeds(host, m),
             incumbent=len(host) + 1 if best is None else len(host) - best + 1,
@@ -521,7 +530,7 @@ def _max_nontrivial(host, s, matching_cap, force_generic=False):
         if r is None:
             continue
         best = len(host) - r[0]
-        witness = _family_from_kept(host, r[1])
+        witness = host._take(full ^ r[1])
     return best, witness
 
 

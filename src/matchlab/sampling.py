@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, RangeError, ScaleError
-from .families import Family, _edge_mask
+from .families import Family
 
 _MASK64 = (1 << 64) - 1
 _RANK_CAP = 1 << 63
@@ -229,30 +229,27 @@ def max_trivial(fam, s, exact=None):
     if s == 0 or len(fam) == 0:
         return TrivialResult(tuple(range(1, s + 1)), 0, True)
 
+    through = fam.through
     if exact:
         best_count = -1
         best_set = None
         for sub in itertools.combinations(range(1, fam.n + 1), s):
-            smask = _edge_mask(sub)
-            c = sum(1 for m in fam.masks if m & smask)
+            hit = 0
+            for v in sub:
+                hit |= through[v]
+            c = hit.bit_count()
             if c > best_count:
                 best_count = c
                 best_set = sub
         return TrivialResult(best_set, best_count, True)
 
     chosen = []
-    remaining = list(fam.masks)
+    remaining = (1 << len(fam)) - 1
     for _ in range(s):
-        counts = [0] * (fam.n + 1)
-        for m in remaining:
-            mm = m
-            while mm:
-                low = mm & -mm
-                counts[low.bit_length()] += 1
-                mm ^= low
-        v = max(range(1, fam.n + 1), key=lambda u: (counts[u], -u))
+        # most remaining edges, ties to the smaller vertex
+        counts = [(t & remaining).bit_count() for t in through]
+        v = counts.index(max(counts[1:]), 1)
         chosen.append(v)
-        bit = 1 << (v - 1)
-        remaining = [m for m in remaining if not m & bit]
-    size = len(fam.masks) - len(remaining)
+        remaining &= ~through[v]
+    size = len(fam) - remaining.bit_count()
     return TrivialResult(tuple(sorted(chosen)), size, False)

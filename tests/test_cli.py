@@ -139,6 +139,21 @@ class TestCoverVerbs:
         assert code == 0
         assert blob["avoid"] == [7]
 
+    def test_certify_avoid_out_of_range(self, tmp_path, capsys):
+        # a vertex above n lies in no edge; one below 1 is an error
+        path = write_family(tmp_path / "r.edges", RESILIENT)
+        plain = json.loads(run(capsys, "certify", path)[1])
+        code, text, _ = run(capsys, "certify", path, "--avoid", "9")
+        blob = json.loads(text)
+        assert code == 0
+        assert blob["avoid"] == [9]
+        assert blob["parts"] == plain["parts"]
+        for bad in ("0", "2,-1"):
+            code, text, err = run(capsys, "certify", path, "--avoid", bad)
+            assert code == 1
+            assert text == ""
+            assert "ValueError" in err
+
 
 class TestComputeVerbs:
     def test_k2_sweep(self, capsys):

@@ -24,8 +24,9 @@ from matchlab.families import (
     read_edge_file,
     write_edge_file,
 )
-from matchlab.oracle import extremal_verdict
-from matchlab.sampling import SampleSpec, sample_family
+from matchlab.covers import certify_decomposition
+from matchlab.oracle import extremal_verdict, max_family_nu_le
+from matchlab.sampling import SampleSpec, max_trivial, sample_family
 
 from oracles import (
     all_families,
@@ -42,6 +43,21 @@ def family_args(draw, max_n=9):
     pool = list(itertools.combinations(range(1, n + 1), k))
     edges = draw(st.lists(st.sampled_from(pool), max_size=12))
     return n, k, edges
+
+
+@pytest.fixture
+def mask_calls(monkeypatch):
+    """The edges handed to `families._edge_mask`, the builder of the
+    per-edge masks behind `Family.masks`."""
+    calls = []
+    edge_mask = families._edge_mask
+
+    def counting(edge):
+        calls.append(edge)
+        return edge_mask(edge)
+
+    monkeypatch.setattr(families, "_edge_mask", counting)
+    return calls
 
 
 def check_matching(fam, m):
@@ -268,14 +284,14 @@ class TestPairScan:
         assert nu == 3
         check_matching(f, m)
 
-    def test_window_solves_build_no_masks(self):
+    def test_window_solves_build_no_masks(self, mask_calls):
         for f in (
             Family(15, 5, _dense_in_eleven()),
             sample_family(SampleSpec(30, 10, 8.7e-5, 3, 0)),
         ):
             matching_number(f)
             is_trivial(f)
-            assert f._masks is None
+        assert mask_calls == []
 
     def test_cover_reads_degrees_once(self, monkeypatch):
         calls = []
@@ -339,6 +355,69 @@ class TestGoldenNu:
         assert hashlib.sha256(repr(m.edges).encode()).hexdigest() == digest
 
 
+class TestOneStoredForm:
+    """The package reads edges through `Family.through` only: no solver,
+    subfamily view or certificate builds a per-edge mask."""
+
+    def test_package_builds_no_masks(self, mask_calls):
+        # sampled (array-built) hosts and one built from edge tuples
+        hosts = [
+            sample_family(SampleSpec(11, 3, 0.2, 0, t)) for t in range(4)
+        ]
+        triples = list(itertools.combinations(range(1, 7), 3))
+        hosts.append(Family(7, 3, triples + [(1, 2, 7), (3, 4, 7)]))
+        for host in hosts:
+            extremal_verdict(host, 2)
+            max_family_nu_le(host, 2)
+            for exact in (True, False):
+                max_trivial(host, 2, exact=exact)
+            host.filter(avoid=(1,), meet=(2, 3))
+            host.filter(meet=(4,))
+            host.delete_vertices((5, 6))
+            host.link((2,))
+            host.link((1, 3))
+            generated_contains([(1,), (2, 3)], host)
+        certify_decomposition(
+            Family(7, 3, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6),
+                          (1, 2, 7), (3, 4, 7)]),
+            avoid=(7,),
+        )
+        certify_decomposition(Family(3, 2, [(1, 2), (1, 3), (2, 3)]))
+        assert mask_calls == []
+
+
+class TestVertexRange:
+    """A vertex above n lies in no edge; a vertex below 1 is an error."""
+
+    F = Family(5, 2, [(1, 2), (1, 3), (2, 4), (4, 5)])
+
+    def test_above_n_matches_no_edge(self):
+        f = self.F
+        assert f.filter(avoid=(6, 99)) == f
+        assert f.filter(meet=(6,)).edges == ()
+        assert f.filter(avoid=(9,), meet=(4, 7)).edges == ((2, 4), (4, 5))
+        assert f.delete_vertices((1, 6)).edges == ((2, 4), (4, 5))
+        g = f.link((6,))
+        assert (g.k, g.edges) == (1, ())
+        assert f.link((1, 6)).edges == ()
+        assert not generated_contains([(6,)], f)
+        assert generated_contains([(1,), (4,), (2, 6)], f)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_below_one_raises(self, bad):
+        f = self.F
+        for call in (
+            lambda: f.filter(avoid=(bad,)),
+            lambda: f.filter(meet=(bad,)),
+            lambda: f.filter(avoid=(1,), meet=(bad,)),
+            lambda: f.delete_vertices((2, bad)),
+            lambda: f.link((bad,)),
+            lambda: generated_contains([(bad,)], f),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+
 class TestPickle:
     def test_round_trip(self):
         f = Family(4, 2, [(1, 2), (3, 4)])
@@ -398,6 +477,22 @@ class TestArrayBacked:
         for f in both():
             g = pickle.loads(pickle.dumps(f))
             assert g == f and g.edges == tuple(canon) and g.masks == masks
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_family_args(), st.sampled_from([1, 5, 64, 1 << 23]))
+    def test_through_in_vertex_blocks(self, args, cells):
+        n, k, edges = args
+        f = Family(n, k, edges)
+        want = tuple(
+            sum(1 << i for i, e in enumerate(f.edges) if v in e)
+            for v in range(n + 1)
+        )
+        saved = families._THROUGH_BLOCK_CELLS
+        families._THROUGH_BLOCK_CELLS = cells
+        try:
+            assert f.through == want
+        finally:
+            families._THROUGH_BLOCK_CELLS = saved
 
     def test_masks_of_numpy_vertices(self):
         # bits 63 and 69 are past a 64-bit integer's reach

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchlab import families, graphs, sampling
+from matchlab import families, graphs
 from matchlab.errors import InvalidPartitionError, RangeError, ScaleError
 from matchlab.families import Family, complete_family, matching_number
 from matchlab.graphs import (
@@ -278,8 +278,7 @@ class TestMaxNuSubgraph:
             calls.append(edge)
             return edge_mask(edge)
 
-        for mod in (families, sampling):
-            monkeypatch.setattr(mod, "_edge_mask", counting)
+        monkeypatch.setattr(families, "_edge_mask", counting)
         g = sample_family(SampleSpec(n=200, k=2, p=0.3, seed=5))
         got = [max_nu_subgraph(g, s) for s in (1, 2)]
         assert calls == []

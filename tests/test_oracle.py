@@ -340,19 +340,21 @@ class TestSearch:
         """Levels s..1 with a shared incumbent give the witness of levels
         1..s each solved alone, where a later level wins only when larger."""
         best = witness = None
+        meet = oracle._meet_rows(fam)
+        full = (1 << len(fam)) - 1
         for m in range(1, s + 1):
-            cons = oracle._enum_matching_indices(
-                fam, m + 1, oracle.MATCHING_CAP
+            cons = oracle._enum_matchings(
+                meet, m + 1, oracle.MATCHING_CAP, list(range(len(fam)))
             )
             keeps = oracle._keep_sets(fam, m)
             if not all(keeps):
                 continue
-            r = oracle._HitSolver(fam.masks, cons, m).minimize(
+            r = oracle._HitSolver(meet, cons, m).minimize(
                 keep_sets=keeps, seeds=oracle._window_seeds(fam, m)
             )
             if r is not None and (best is None or len(fam) - r[0] > best):
                 best = len(fam) - r[0]
-                witness = oracle._family_from_kept(fam, r[1])
+                witness = fam._take(full ^ r[1])
         got = oracle._max_nontrivial(
             fam, s, oracle.MATCHING_CAP, force_generic=True
         )
