@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass
 from math import comb
 from typing import NamedTuple
 
-import numpy as np
-
 from .bounds import regime_report
 from .errors import ConfigError, MatchlabError, RangeError
 from .families import is_trivial, matching_number
@@ -103,27 +101,33 @@ class _Tally:
             )
 
 
-def _incidence(fam):
-    """through[v]: indices of the edges containing v, for v in 0..n.
+def _union(through, vs):
+    """The edges meeting the vertex set `vs`, as one bitset."""
+    met = 0
+    for v in vs:
+        met |= through[v]
+    return met
 
-    One argsort of the flattened (m, k) vertex array, split at the
-    first position of each vertex; O(km).  Index 0 is always empty, and
-    so is every entry when m = 0.  Needs k >= 1.
-    """
-    n, k = fam.n, fam.k
-    flat = fam.vertex_array().ravel()
-    order = np.argsort(flat)
-    bounds = np.searchsorted(flat[order], np.arange(1, n + 1))
-    return np.split(order // k, bounds)
+
+def _common(through, vs):
+    """The edges holding every vertex of the non-empty set `vs`, as one
+    bitset."""
+    kept = through[vs[0]]
+    for v in vs[1:]:
+        kept &= through[v]
+    return kept
 
 
 def lemma_audit(fam, s, t, p, budget, seed):
     """Randomized audit: draw `budget` instances of each condition
     family on an explicit sample and report every violation.
 
-    Every count is read off `inside(S)`, the number of vertices of the
-    drawn set S in each edge: a bincount over the edges through S, so a
-    check costs about |S| * km / n index entries plus one length-m pass.
+    Every count is the popcount of a few big-int operations on the
+    vertex -> edge bitsets `fam.through`: avoid/meet is the union over Q
+    less the union over R; pair cluster keeps a bit-sliced count of the
+    vertices of Q in each edge, once and twice or more; fan is through[x]
+    AND the union over Q; link and deep link are the AND over the drawn
+    set.
     """
     if budget < 1:
         raise RangeError(f"budget must be >= 1, got {budget}")
@@ -137,15 +141,11 @@ def lemma_audit(fam, s, t, p, budget, seed):
     if fam.n < 1:
         # C(n-1, k-1) needs n >= 1
         raise RangeError(f"need a family on n >= 1 vertices, got n={fam.n}")
-    n, k, m = fam.n, fam.k, len(fam)
+    n, k = fam.n, fam.k
     deg = comb(n - 1, k - 1)
     rng = random.Random(seed)
     verts = range(1, n + 1)
-    through = _incidence(fam)
-
-    def inside(vs):
-        hits = np.concatenate([through[v] for v in vs])
-        return np.bincount(hits, minlength=m)
+    through = fam.through
 
     tally = _Tally()
     record = tally.record
@@ -155,10 +155,8 @@ def lemma_audit(fam, s, t, p, budget, seed):
             q = rng.randint(1, s)
             drawn = rng.sample(verts, s)
             q_set, r_set = sorted(drawn[:q]), sorted(drawn[q:])
-            flags = inside(q_set) > 0
-            if r_set:
-                flags &= inside(r_set) == 0
-            count = int(np.count_nonzero(flags))
+            met = _union(through, q_set) & ~_union(through, r_set)
+            count = met.bit_count()
             thr = 0.5 * p * q * deg
             record(
                 "avoid_meet_floor", count, thr, count <= thr,
@@ -170,7 +168,11 @@ def lemma_audit(fam, s, t, p, budget, seed):
         if hi >= 2:
             size = rng.randint(2, hi)
             q_set = sorted(rng.sample(verts, size))
-            count = int(np.count_nonzero(inside(q_set) >= 2))
+            once = twice = 0
+            for v in q_set:
+                twice |= once & through[v]
+                once |= through[v]
+            count = twice.bit_count()
             thr = 0.25 * p * q * deg
             record(
                 "pair_cluster_cap", count, thr, count >= thr, q=q, Q=q_set
@@ -181,20 +183,20 @@ def lemma_audit(fam, s, t, p, budget, seed):
             x = rng.randint(1, n)
             pool = [v for v in verts if v != x]
             q_set = sorted(rng.sample(pool, k * q))
-            count = int(np.count_nonzero(inside(q_set)[through[x]]))
+            count = (through[x] & _union(through, q_set)).bit_count()
             thr = 0.25 * p * deg
             record("fan_cap", count, thr, count >= thr, q=q, x=x, Q=q_set)
 
         if t >= 2 and n >= 2:
             r = rng.randint(2, min(t, n))
             r_set = sorted(rng.sample(verts, r))
-            count = int(np.count_nonzero(inside(r_set) == r))
+            count = _common(through, r_set).bit_count()
             thr = p * deg / (4 * r * (k * s) ** (r - 1))
             record("link_cap", count, thr, count > thr, R=r_set)
 
         if t + 1 <= n:
             t_set = sorted(rng.sample(verts, t + 1))
-            count = int(np.count_nonzero(inside(t_set) == t + 1))
+            count = _common(through, t_set).bit_count()
             thr = p * deg / (4 * k ** (t + 1) * s**t)
             record("deep_link_cap", count, thr, count > thr, T=t_set)
 
@@ -566,23 +568,13 @@ _SUMMARY_FIELDS = (
 )
 
 
-def _env_threads():
-    raw = os.environ.get("MATCHLAB_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"MATCHLAB_THREADS must be an integer, got {raw!r}"
-        ) from None
-
-
 def run_campaign(cfg):
     """Run every cell x trial, write <out>.jsonl and <out>.csv, and
     return the summary. summary["ok"] is False iff some cell's success
     fraction fell below the configured floor."""
     cells = build_cells(cfg)
     tasks = [(cell, t) for cell in cells for t in range(cfg.trials)]
-    workers = min(cfg.threads or _env_threads(), len(tasks))
+    workers = min(cfg.threads or 1, len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(

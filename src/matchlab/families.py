@@ -6,8 +6,9 @@ holds one stored form, the (m, k) vertex array, and one index over it, the
 vertex -> edge bitsets `Family.through` (bit i set for edge i): a set of
 edges is one int, dropping the edges through a vertex is one big-int
 operation, and a subfamily is a row selection of the array.  The solvers,
-the oracle, the cover certificates and the sampler's star counts all read
-`through`; this module is the only one that knows how edges are stored.
+the oracle, the cover certificates, the sampler's star counts and the
+size-condition audit all read `through`.  Besides this module, only the
+k = 2 adjacency in `graphs` reads the stored array.
 
 Conventions for degenerate inputs: the empty family has matching number 0
 and covering number 0 and counts as trivial.  A 0-uniform family (which can

@@ -113,7 +113,7 @@ def f_bound(n, s):
 
 class SubgraphResult(NamedTuple):
     size: int
-    partition: SPartition | None
+    partition: SPartition
 
 
 def _part_sizes(rem, cap):
@@ -314,13 +314,13 @@ def _witness(n, b_set, parts, sizes):
     return SPartition(b_set, tuple(full) + tuple((v,) for v in spare))
 
 
-def max_nu_subgraph(g, s, force_oracle=False):
+def max_nu_subgraph(g, s):
     """Exact maximum edge count of a subgraph with matching number <= s.
 
     Needs n >= 2s + 2, where the maximum is a maximum over s-partitions
-    (B, odd parts) of the overlap with the structure graph.  Below that
-    threshold the structural guarantee fails; force_oracle=True falls back
-    to the subfamily solver and returns no partition.
+    (B, odd parts) of the overlap with the structure graph; below that
+    threshold the structural guarantee fails and the call is a RangeError
+    (`oracle.max_family_nu_le` solves any n).
 
     One search serves every n and s.  It visits the levels |B| = s, ...,
     0.  On each, B is picked from the non-isolated vertices in descending
@@ -338,14 +338,7 @@ def max_nu_subgraph(g, s, force_oracle=False):
         raise RangeError(f"s must be >= 0, got {s}")
     n = g.n
     if n < 2 * s + 2:
-        if not force_oracle:
-            raise RangeError(
-                f"n={n} is below 2s+2={2 * s + 2}; pass force_oracle=True "
-                f"to use the subfamily solver without a partition"
-            )
-        from .oracle import max_family_nu_le
-
-        return SubgraphResult(max_family_nu_le(g, s)[0], None)
+        raise RangeError(f"n={n} is below 2s+2={2 * s + 2}")
     st = _Search(g)
     degs = [st.deg[v] for v in st.order[: 3 * s]]
     for b in range(min(s, len(st.order)), -1, -1):

@@ -482,7 +482,7 @@ def max_family_nu_le(host, s, matching_cap=MATCHING_CAP, force_generic=False):
     if s < 0:
         raise RangeError(f"s must be >= 0, got {s}")
     if host.k == 2 and s == 1 and len(host) and not force_generic:
-        star = max_trivial(host, 1, exact=True)
+        star = max_trivial(host, 1)
         tri = _k2_first_triangle(host)
         if tri is not None and 3 > star.size:
             return 3, tri
@@ -544,7 +544,7 @@ def extremal_verdict(host, s, matching_cap=MATCHING_CAP, force_generic=False):
     """
     if s < 1:
         raise RangeError(f"s must be >= 1, got {s}")
-    mt = max_trivial(host, s, exact=True)
+    mt = max_trivial(host, s)
     nt, witness = _max_nontrivial(host, s, matching_cap, force_generic)
     if nt is not None and nt > mt.size:
         opt_fam = witness

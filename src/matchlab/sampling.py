@@ -207,49 +207,32 @@ def trivial_count(n, k, s):
 class TrivialResult(NamedTuple):
     vertices: tuple
     size: int
-    exact: bool
 
 
-def max_trivial(fam, s, exact=None):
+def max_trivial(fam, s):
     """Largest number of edges meeting a single s-subset of the vertices.
 
-    Exact mode enumerates all C(n, s) subsets; it is the default for small
-    instances (few vertices or small s) while the subset count stays within
-    the enumeration cap.  Greedy mode repeatedly grabs the highest-degree
-    vertex of the residual family and is labeled inexact.
+    Enumerates all C(n, s) subsets; ScaleError when their count is beyond
+    the enumeration cap.
     """
     if s < 0 or s > fam.n:
         raise RangeError(f"s must be in [0, n], got {s}")
-    if exact is None:
-        exact = (fam.n <= 40 or s <= 3) and comb(fam.n, s) <= _EXACT_TRIVIAL_CAP
-    if exact and comb(fam.n, s) > _EXACT_TRIVIAL_CAP:
+    if comb(fam.n, s) > _EXACT_TRIVIAL_CAP:
         raise ScaleError(
             f"C({fam.n},{s}) vertex sets is beyond the exact enumeration cap"
         )
     if s == 0 or len(fam) == 0:
-        return TrivialResult(tuple(range(1, s + 1)), 0, True)
+        return TrivialResult(tuple(range(1, s + 1)), 0)
 
     through = fam.through
-    if exact:
-        best_count = -1
-        best_set = None
-        for sub in itertools.combinations(range(1, fam.n + 1), s):
-            hit = 0
-            for v in sub:
-                hit |= through[v]
-            c = hit.bit_count()
-            if c > best_count:
-                best_count = c
-                best_set = sub
-        return TrivialResult(best_set, best_count, True)
-
-    chosen = []
-    remaining = (1 << len(fam)) - 1
-    for _ in range(s):
-        # most remaining edges, ties to the smaller vertex
-        counts = [(t & remaining).bit_count() for t in through]
-        v = counts.index(max(counts[1:]), 1)
-        chosen.append(v)
-        remaining &= ~through[v]
-    size = len(fam) - remaining.bit_count()
-    return TrivialResult(tuple(sorted(chosen)), size, False)
+    best_count = -1
+    best_set = None
+    for sub in itertools.combinations(range(1, fam.n + 1), s):
+        hit = 0
+        for v in sub:
+            hit |= through[v]
+        c = hit.bit_count()
+        if c > best_count:
+            best_count = c
+            best_set = sub
+    return TrivialResult(best_set, best_count)

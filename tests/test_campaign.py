@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchlab import campaign
 from matchlab.campaign import (
@@ -148,6 +150,59 @@ class TestLemmaAudit:
         fam = host if isinstance(host, Family) else sample_family(host)
         rec = lemma_audit(fam, s, t, p, 60, seed=5)
         assert rec == brute_lemma_audit(fam, s, t, p, 60, seed=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        k=st.integers(1, 5),
+        s=st.integers(1, 4),
+        t=st.integers(1, 4),
+        p=st.sampled_from([0.05, 0.3, 0.7, 1.0]),
+        seed=st.integers(0, 1 << 16),
+    )
+    def test_matches_set_oracle_on_random_shapes(self, n, k, s, t, p, seed):
+        k = min(k, n)
+        # the host keeps about 500 edges at most, so the oracle stays fast
+        host_p = min(p, 500 / comb(n, k))
+        fam = sample_family(SampleSpec(n, k, host_p, seed))
+        rec = lemma_audit(fam, s, t, p, 20, seed)
+        assert rec == brute_lemma_audit(fam, s, t, p, 20, seed)
+
+    # (host spec, s, t, p, audit seed, SHA-256 of the sorted-key JSON
+    # record at budget 100): the six round-0 audit-n60 benchmark hosts at
+    # seed 0, then two graphs and two 4-uniform hosts
+    GOLDEN = [
+        ((60, 3, 0.3, 0, 0), 2, 2, 0.3, 0,
+         "569a90a96594da270ea1a1363005b8f56989be36a455c5e81e265997662729a8"),
+        ((60, 3, 0.3, 0, 1), 2, 2, 0.3, 1,
+         "eae53c7f42fa0fc8da15e0b4cb13f2a0458df1b77c9e28680c682fb74f1ac268"),
+        ((60, 3, 0.3, 0, 2), 2, 2, 0.3, 2,
+         "3373c35e21eb3d4bbaec363283efc974b25f68e4813d76fa40890c5e201e2559"),
+        ((60, 3, 0.3, 0, 3), 2, 2, 0.3, 3,
+         "0d1459e464844d0c99a36a2a112adfa32cfcfcbe36c081bdf85298383e26afdd"),
+        ((60, 3, 0.3, 0, 4), 2, 2, 0.3, 4,
+         "cc6a0a0a7861be053639735b058fedf2cb2ff7a593a794c984f652f01a07e68c"),
+        ((60, 3, 0.3, 0, 5), 2, 2, 0.3, 5,
+         "646be07206f5aad27c8395cf07a559944fcebf8c8d897c7d6bfe9fa5397e2a90"),
+        ((40, 2, 0.3, 0, 0), 3, 3, 0.3, 0,
+         "7a3600184c8c59c10c8f0a030f3a0963206a660ec3a914060ba8a009b893969d"),
+        ((200, 2, 0.02, 0, 1), 2, 2, 0.02, 1,
+         "225d387cef6c43523136521263e53c6cee45772108e5b1382364f17f4aa72606"),
+        ((20, 4, 0.2, 0, 0), 2, 3, 0.2, 0,
+         "7029c190f71da4c17b61734e1dfc022bc1d4fd0623218995c8d844efd23c65a6"),
+        ((30, 4, 0.05, 0, 1), 1, 4, 0.05, 1,
+         "d055a040afeb5620ba267fdf185e4698d88b2d4938c4b2ef7a1e508705c63698"),
+    ]
+
+    @pytest.mark.parametrize(
+        "spec,s,t,p,seed,digest",
+        GOLDEN,
+        ids=["-".join(map(str, g[0])) for g in GOLDEN],
+    )
+    def test_golden_record(self, spec, s, t, p, seed, digest):
+        rec = lemma_audit(sample_family(SampleSpec(*spec)), s, t, p, 100, seed)
+        blob = json.dumps(rec.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_complete_graph_violates_every_condition(self):
         # the K10 rows above: with s = 8 on [10] the drawn R leaves few
@@ -433,15 +488,9 @@ class TestRunCampaign:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.delenv("MATCHLAB_THREADS", raising=False)
         monkeypatch.setattr(campaign, "ThreadPoolExecutor", no_pool)
         summary = run_campaign(self.verdict_cfg(tmp_path / "serial"))
         assert sum(1 for _ in open(summary["jsonl"])) == 3
-
-    def test_non_integer_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MATCHLAB_THREADS", "two")
-        with pytest.raises(ConfigError):
-            run_campaign(self.verdict_cfg(tmp_path / "env"))
 
     def test_trial_stream_derivation(self, tmp_path):
         summary = run_campaign(

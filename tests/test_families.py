@@ -369,8 +369,7 @@ class TestOneStoredForm:
         for host in hosts:
             extremal_verdict(host, 2)
             max_family_nu_le(host, 2)
-            for exact in (True, False):
-                max_trivial(host, 2, exact=exact)
+            max_trivial(host, 2)
             host.filter(avoid=(1,), meet=(2, 3))
             host.filter(meet=(4,))
             host.delete_vertices((5, 6))

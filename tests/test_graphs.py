@@ -187,11 +187,6 @@ class TestMaxNuSubgraph:
         with pytest.raises(RangeError):
             max_nu_subgraph(complete_family(5, 2), 2)
 
-    def test_force_oracle_below_threshold(self):
-        r = max_nu_subgraph(complete_family(5, 2), 2, force_oracle=True)
-        assert r.size == 10
-        assert r.partition is None
-
     def test_scale_cap(self, monkeypatch):
         # past the old n <= 16 limit for s >= 3; only the node cap is left
         for n in range(17, 21):

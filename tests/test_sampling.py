@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matchlab.errors import CapacityError, RangeError
+from matchlab.errors import CapacityError, RangeError, ScaleError
 from matchlab.families import Family, complete_family
 from matchlab.sampling import (
     SampleSpec,
@@ -251,7 +251,6 @@ class TestMaxTrivial:
     def test_complete_graph_star(self):
         r = max_trivial(complete_family(5, 2), 1)
         assert r.size == 4
-        assert r.exact
 
     def test_four_triples(self):
         r = max_trivial(Family(6, 3, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]), 1)
@@ -265,22 +264,22 @@ class TestMaxTrivial:
     def test_s_zero(self):
         assert max_trivial(complete_family(5, 2), 0).size == 0
 
+    def test_beyond_enumeration_cap(self):
+        # C(60, 10) vertex sets, far past the cap
+        with pytest.raises(ScaleError):
+            max_trivial(Family(60, 2, [(1, 2)]), 10)
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_exact_matches_brute_and_dominates_greedy(self, data):
+    def test_exact_matches_brute(self, data):
         n = data.draw(st.integers(min_value=2, max_value=7))
         k = data.draw(st.integers(min_value=1, max_value=min(n, 3)))
         pool = list(itertools.combinations(range(1, n + 1), k))
         edges = data.draw(st.lists(st.sampled_from(pool), max_size=10))
         s = data.draw(st.integers(min_value=0, max_value=n))
         f = Family(n, k, edges)
-        ex = max_trivial(f, s, exact=True)
-        gr = max_trivial(f, s, exact=False)
-        assert ex.exact
-        if s > 0 and f.edges:
-            assert not gr.exact
+        ex = max_trivial(f, s)
         assert ex.size == brute_max_trivial(f.edges, n, s)
-        assert ex.size >= gr.size
         smask = 0
         for v in ex.vertices:
             smask |= 1 << (v - 1)
